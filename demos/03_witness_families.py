@@ -10,15 +10,13 @@ against the exhaustive oracle.
 """
 
 from tnspec import (
+    FAMILY_REGISTRY,
     FamilyId,
-    a1_values,
-    a1_witness,
-    a2_values,
-    a2_witness,
+    build_family,
     eigenvalue,
+    expand,
     family_targets,
-    s1_witness,
-    s2_witness,
+    linear_segment_witness,
     spectrum,
     zero_witness,
 )
@@ -28,23 +26,38 @@ for n in (9, 10, 31):
     print(f"zero witness for n={n}: {zero_witness(n)}")
 
 # Small targets (up to about n/2) come from hook-like shapes with long
-# tails of ones; the family switches recipe at a crossover target.
+# tails of ones; the family switches recipe at a crossover target.  The
+# linear driver picks, for each target, the first registry family that
+# covers it.
 for lam in (0, 3, 6, 9, 12, 15):
-    record = s1_witness(31, lam)
+    record = linear_segment_witness(31, lam)
     print(f"  n=31 target {lam:2d}: {record.partition}   [{record.family}]")
 
-# Mid-range targets use two-row heads over tails of twos.
-record = s2_witness(21, 13)
-print(f"s2 witness n=21 target 13: {record.partition}  [{record.family}]")
+# Any family can also be built directly, below n = 31 too, as long as
+# (n, target) is in its admissible set.  Mid-range targets use two-row
+# heads over tails of twos.
+shape = expand(build_family(FamilyId.S2_CASE1, 21, 13))
+print(f"S2_case1 at n=21 target 13: {shape}")
+
+
+def group_targets(group: str, n: int) -> list[tuple[int, str]]:
+    """(target, family) for every family of one group at n."""
+    return sorted(
+        (lam, family.value)
+        for family, spec in FAMILY_REGISTRY.items()
+        if spec.group == group
+        for lam in family_targets(family, n)
+    )
+
 
 # Near-top targets come in two sets: three values around n/2 ...
-print(f"a1 serves {a1_values(31)} at n=31")
-print(f"  16 -> {a1_witness(31, 16).partition}")
+print(f"A1 rows at n=31: {group_targets('A1', 31)}")
+print(f"  16 -> {linear_segment_witness(31, 16).partition}")
 
 # ... and the last seven values n-6..n, each its own polynomial row.
-print(f"a2 serves {a2_values(31)} at n=31")
-for lam in a2_values(31)[:3]:
-    print(f"  {lam} -> {a2_witness(31, lam).partition}")
+print(f"A2 rows at n=31 serve {[lam for lam, _ in group_targets('A2', 31)]}")
+for lam in (25, 26, 27):
+    print(f"  {lam} -> {linear_segment_witness(31, lam).partition}")
 
 # Every family re-verifies its output on construction (sum and eigenvalue),
 # and each registry entry knows its own admissible targets, so sweeping the
@@ -60,7 +73,7 @@ print(f"all {built} family instances at n={n} verified and present "
       f"in Spec(T_{n})")
 
 # Records carry their lineage, and conjugating a record flips its target.
-record = a2_witness(19, 18)
+record = linear_segment_witness(31, 30)
 mirror = record.conjugated()
-print(f"{record.partition} covers +18; {mirror.partition} covers "
+print(f"{record.partition} covers +30; {mirror.partition} covers "
       f"{eigenvalue(mirror.partition)}  [{mirror.family}]")

@@ -9,6 +9,8 @@ re-verify on construction, so a "cover" is a finished, checkable object.
 """
 
 from tnspec import (
+    FAMILY_REGISTRY,
+    FamilyId,
     conjecture_scan,
     head_interval,
     head_range,
@@ -17,12 +19,16 @@ from tnspec import (
     quadratic_segment_bounds,
     quadratic_segment_cover,
     quadratic_segment_witness,
-    segment_cells,
 )
 
-# The linear driver tiles [0, n] into four cells, one per family group,
-# and reaches negative targets by conjugation.
-print("cells at n=31:", segment_cells(31))
+# The linear driver gives each target in [0, n] to the first registry
+# family that covers it; the groups S1, A1, S2, A2 then tile [0, n] in four
+# runs.  Negative targets are reached by conjugation.
+groups: dict[str, list[int]] = {}
+for k in range(0, 32):
+    family = linear_segment_witness(31, k).family_chain[0]
+    groups.setdefault(FAMILY_REGISTRY[FamilyId(family)].group, []).append(k)
+print("groups at n=31:", {group: (ks[0], ks[-1]) for group, ks in groups.items()})
 for k in (0, -15, 31):
     record = linear_segment_witness(31, k)
     print(f"  k={k:3d}: {record.partition}   [{record.family}]")

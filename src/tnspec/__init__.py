@@ -8,14 +8,12 @@ re-verifies everything against brute-force enumeration.
 
 from .errors import (
     BelowConstructiveRangeError,
-    DispatchGapError,
     FamilyError,
     FormulaOverflowError,
     HeadTooSmallError,
     IntegerRoundingError,
     NoHeadFitsError,
     NonPositivePartError,
-    NotInSetError,
     NotNonincreasingError,
     OracleLimitError,
     OutOfFamilyRangeError,
@@ -34,14 +32,8 @@ from .families import (
     FamilyId,
     FamilySpec,
     WitnessRecord,
-    a1_values,
-    a1_witness,
-    a2_values,
-    a2_witness,
     build_family,
     family_targets,
-    s1_witness,
-    s2_witness,
     zero_witness,
 )
 from .oracle import (
@@ -82,7 +74,6 @@ from .segments import (
     quadratic_segment_bounds,
     quadratic_segment_cover,
     quadratic_segment_witness,
-    segment_cells,
 )
 from .verify import (
     DEFAULT_CHECKS,

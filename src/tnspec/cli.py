@@ -54,7 +54,10 @@ def _emit(
     text_lines: list[str],
     csv_rows: list[list[str]],
     artifact_name: str,
+    artifact: dict | None = None,
 ) -> None:
+    """Print payload in the chosen format; write artifact (default: payload)
+    under --out."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
@@ -65,7 +68,7 @@ def _emit(
     else:
         for line in text_lines:
             print(line)
-    _write_artifact(args, artifact_name, payload)
+    _write_artifact(args, artifact_name, payload if artifact is None else artifact)
 
 
 def _witness_output(record: WitnessRecord) -> tuple[dict, list[str], list[list[str]]]:
@@ -216,11 +219,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ]
         for report in reports
     )
-    _emit(args, summary, format_table(reports).split("\n"), rows, "verify_summary")
+    # artifacts leave out timing so that re-runs diff clean
+    untimed = [report.to_json_dict(include_elapsed=False) for report in reports]
+    _emit(
+        args,
+        summary,
+        format_table(reports).split("\n"),
+        rows,
+        "verify_summary",
+        {**summary, "reports": untimed},
+    )
     if args.out is not None:
-        for report in reports:
+        for report, payload in zip(reports, untimed):
             safe = report.check_id.replace(":", "_").replace("-", "_")
-            _write_artifact(args, f"verify_{safe}", report.to_json_dict())
+            _write_artifact(args, f"verify_{safe}", payload)
     return 0 if summary["ok"] else 1
 
 

