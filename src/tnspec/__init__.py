@@ -8,10 +8,10 @@ re-verifies everything against brute-force enumeration.
 
 from .errors import (
     BelowConstructiveRangeError,
-    FamilyError,
     FormulaOverflowError,
     HeadTooSmallError,
     IntegerRoundingError,
+    InvalidArgumentError,
     NoHeadFitsError,
     NonPositivePartError,
     NotNonincreasingError,
@@ -19,7 +19,6 @@ from .errors import (
     OutOfFamilyRangeError,
     ParityViolationError,
     PartitionError,
-    SegmentError,
     SizeLimitError,
     SumMismatchError,
     TargetOutOfSegmentError,

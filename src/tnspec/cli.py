@@ -119,13 +119,11 @@ def _cmd_conj(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     constraints = EnumerationConstraints(args.max_first_part, args.max_length)
-    result = spectrum(
-        args.n, constraints, limit=args.oracle_limit, witnesses=args.witnesses
-    )
+    result = spectrum(args.n, constraints)
     payload = result.to_json_dict()
     text = [" ".join(str(value) for value in result.values)]
     rows: list[list[str]] = [["value", "witness"]]
-    if args.witnesses and result.witnesses is not None:
+    if args.witnesses:
         for value in result.values:
             witness = result.witnesses[value]
             text.append(f"{value}: {witness}")
@@ -138,7 +136,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_contains(args: argparse.Namespace) -> int:
-    answer, witness = contains(args.n, args.k, limit=args.oracle_limit)
+    answer, witness = contains(args.n, args.k)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -158,13 +156,10 @@ def _cmd_contains(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     if args.theorem == 5:
-        record = quadratic_segment_witness(args.n, args.k, limit=args.oracle_limit)
+        record = quadratic_segment_witness(args.n, args.k)
     else:
         record = linear_segment_witness(
-            args.n,
-            args.k,
-            oracle_fallback=args.oracle_fallback,
-            limit=args.oracle_limit,
+            args.n, args.k, oracle_fallback=args.oracle_fallback
         )
     payload, text, rows = _witness_output(record)
     _emit(args, payload, text, rows, f"witness_{args.n}_{args.k}")
@@ -173,7 +168,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_cover(args: argparse.Namespace) -> int:
     if args.theorem == 5:
-        report = quadratic_segment_cover(args.n, limit=args.oracle_limit)
+        report = quadratic_segment_cover(args.n)
         name = f"cover_quadratic_{args.n}"
     else:
         report = linear_segment_cover(args.n)
@@ -237,7 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
-    report = conjecture_scan(args.n, limit=args.oracle_limit)
+    report = conjecture_scan(args.n)
     payload = report.to_json_dict(with_witnesses=True)
     absent = [target for target, _ in report.failures]
     text = [
@@ -277,14 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="also write the JSON artifact(s) into this directory",
-    )
-    common.add_argument(
-        "--oracle-limit",
-        type=int,
-        metavar="N",
-        default=None,
-        help="max n for exhaustive enumeration "
-        "(default 50, or the TNSPEC_ORACLE_LIMIT environment variable)",
     )
 
     parser = argparse.ArgumentParser(
@@ -391,9 +378,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TnSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,11 +40,7 @@ class FormulaOverflowError(TnSpecError, OverflowError):
     """n exceeds the configured safe bound for eigenvalue formulas."""
 
 
-class FamilyError(TnSpecError, ValueError):
-    """Invalid request to a witness-family constructor."""
-
-
-class OutOfFamilyRangeError(FamilyError):
+class OutOfFamilyRangeError(TnSpecError, ValueError):
     """(n, target) is outside the declared range of the family."""
 
 
@@ -52,19 +48,15 @@ class WitnessVerificationError(TnSpecError):
     """A constructed witness failed its own eigenvalue re-check."""
 
 
-class SegmentError(TnSpecError, ValueError):
-    """Invalid request to a segment-coverage driver."""
-
-
-class BelowConstructiveRangeError(SegmentError):
+class BelowConstructiveRangeError(TnSpecError, ValueError):
     """n is below the range where the constructive argument applies."""
 
 
-class TargetOutOfSegmentError(SegmentError):
+class TargetOutOfSegmentError(TnSpecError, ValueError):
     """Requested eigenvalue lies outside the covered segment."""
 
 
-class NoHeadFitsError(SegmentError):
+class NoHeadFitsError(TnSpecError, ValueError):
     """No admissible leading part brackets the requested eigenvalue."""
 
 
@@ -72,12 +64,17 @@ class WitnessNotFoundError(TnSpecError):
     """Exhaustive search found no partition with the requested eigenvalue."""
 
 
+class InvalidArgumentError(TnSpecError, ValueError):
+    """An argument is outside what the call accepts (n < 1, an unknown
+    check id)."""
+
+
 class OracleLimitError(TnSpecError, ValueError):
-    """n exceeds the configured limit for exhaustive enumeration."""
+    """n exceeds the oracle limit, or the limit setting itself is invalid."""
 
 
 class SizeLimitError(TnSpecError, ValueError):
-    """n exceeds the hard limit for dense Cayley-graph computation."""
+    """n exceeds a hard size limit (dense Cayley graph, partition count)."""
 
 
 class IntegerRoundingError(TnSpecError, ArithmeticError):

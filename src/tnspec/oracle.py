@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     IntegerRoundingError,
+    InvalidArgumentError,
     OracleLimitError,
     SizeLimitError,
 )
@@ -38,34 +39,38 @@ ROUNDING_TOLERANCE = 1e-6
 PARTITION_COUNT_MAX_N = 10_000
 
 
-def resolve_oracle_limit(limit: int | None = None) -> int:
-    """Effective enumeration limit: explicit argument, else environment
-    variable TNSPEC_ORACLE_LIMIT, else the default (50).  A variable that
-    is not an integer raises OracleLimitError.
+def resolve_oracle_limit() -> int:
+    """Effective enumeration limit: the environment variable
+    TNSPEC_ORACLE_LIMIT, else the default (50).
 
+    This is the only place the setting is read.  A value that is not an
+    integer, or is below 1, raises OracleLimitError naming the variable.
     Raising it to ~66 keeps runs in the minutes range; beyond that the
     partition count (and memory for witnesses) grows quickly.
     """
-    if limit is not None:
-        return int(limit)
     from_env = os.environ.get(ORACLE_LIMIT_ENV_VAR)
     if from_env is None:
         return DEFAULT_ORACLE_LIMIT
     try:
-        return int(from_env)
+        limit = int(from_env)
     except ValueError:
         raise OracleLimitError(
             f"{ORACLE_LIMIT_ENV_VAR} must be an integer, got {from_env!r}"
         ) from None
-
-
-def _check_oracle_limit(n: int, limit: int | None) -> None:
-    """Refuse enumeration above the effective oracle limit."""
-    effective_limit = resolve_oracle_limit(limit)
-    if n > effective_limit:
+    if limit < 1:
         raise OracleLimitError(
-            f"n = {n} exceeds the oracle limit {effective_limit}; "
-            f"raise it explicitly or via {ORACLE_LIMIT_ENV_VAR}"
+            f"{ORACLE_LIMIT_ENV_VAR} must be at least 1, got {from_env!r}"
+        )
+    return limit
+
+
+def _check_oracle_limit(n: int) -> None:
+    """Refuse enumeration above the effective oracle limit."""
+    limit = resolve_oracle_limit()
+    if n > limit:
+        raise OracleLimitError(
+            f"n = {n} exceeds the oracle limit {limit}; "
+            f"raise it via {ORACLE_LIMIT_ENV_VAR}"
         )
 
 
@@ -85,9 +90,9 @@ class EnumerationConstraints:
 class SpectrumSet:
     """Distinct eigenvalues of (possibly constrained) partitions of n.
 
-    values are sorted ascending.  witnesses, when retained, map each value
-    to the first partition encountered in enumeration order that attains
-    it; None means witnesses were not requested or not available (Cayley).
+    values are sorted ascending.  witnesses map each value to the first
+    partition encountered in enumeration order that attains it; None means
+    the source knows no partitions (the Cayley matrix).
     """
 
     n: int
@@ -128,9 +133,9 @@ def partition_count(n: int) -> int:
     enumerator).
     """
     if n < 0:
-        raise ValueError("partition_count is defined for nonnegative n")
+        raise InvalidArgumentError("partition_count is defined for nonnegative n")
     if n > PARTITION_COUNT_MAX_N:
-        raise ValueError(f"n = {n} exceeds supported bound {PARTITION_COUNT_MAX_N}")
+        raise SizeLimitError(f"n = {n} exceeds supported bound {PARTITION_COUNT_MAX_N}")
     with _cache_lock:
         while len(_pcount_cache) <= n:
             m = len(_pcount_cache)
@@ -182,10 +187,7 @@ def _normalized_key(
 
 
 def enumerate_partitions(
-    n: int,
-    constraints: EnumerationConstraints | None = None,
-    *,
-    limit: int | None = None,
+    n: int, constraints: EnumerationConstraints | None = None
 ) -> Iterator[Partition]:
     """Yield every partition of n (within constraints), largest-first.
 
@@ -194,37 +196,31 @@ def enumerate_partitions(
     is to keep "exhaustive" honest about what it can exhaust.
     """
     if n < 1:
-        raise ValueError("enumeration needs n >= 1")
-    _check_oracle_limit(n, limit)
+        raise InvalidArgumentError("enumeration needs n >= 1")
+    _check_oracle_limit(n)
     _, max_first, max_length = _normalized_key(n, constraints)
     for parts in _iter_parts(n, max_first, max_length):
         yield Partition(parts)
 
 
 def spectrum(
-    n: int,
-    constraints: EnumerationConstraints | None = None,
-    *,
-    limit: int | None = None,
-    witnesses: bool = True,
+    n: int, constraints: EnumerationConstraints | None = None
 ) -> SpectrumSet:
     """Exhaustive spectrum of T_n restricted to the constrained partitions.
 
     Witness per value is the first partition attaining it in enumeration
-    order.  Full results (per distinct constraint set) are memoized, so
-    repeated membership queries share one enumeration; the cache is
-    thread-safe.
+    order; the result always carries witnesses.  Full results (per
+    distinct constraint set) are memoized, so repeated membership queries
+    share one enumeration; the cache is thread-safe.
     """
     if n < 1:
-        raise ValueError("spectrum needs n >= 1")
-    _check_oracle_limit(n, limit)
+        raise InvalidArgumentError("spectrum needs n >= 1")
+    _check_oracle_limit(n)
     key = _normalized_key(n, constraints)
     with _cache_lock:
         cached = _spectrum_cache.get(key)
     if cached is not None:
-        if witnesses or cached.witnesses is None:
-            return cached
-        return SpectrumSet(n, cached.values, None)
+        return cached
 
     found: dict[int, tuple[int, ...]] = {}
     _, max_first, max_length = key
@@ -239,20 +235,16 @@ def spectrum(
     )
     with _cache_lock:
         _spectrum_cache[key] = result
-    if not witnesses:
-        return SpectrumSet(n, result.values, None)
     return result
 
 
-def contains(
-    n: int, value: int, *, limit: int | None = None
-) -> tuple[bool, Partition | None]:
+def contains(n: int, value: int) -> tuple[bool, Partition | None]:
     """Is `value` an eigenvalue of T_n?  Returns (answer, witness or None).
 
     Backed by the memoized full spectrum, so the first call per n pays for
     the enumeration and later calls are lookups.
     """
-    spec = spectrum(n, limit=limit)
+    spec = spectrum(n)
     if value in spec:
         return True, spec.witness(value)
     return False, None
@@ -274,7 +266,7 @@ def cayley_adjacency(n: int) -> np.ndarray:
     and is past the point of this sanity check's usefulness.
     """
     if n < 1:
-        raise ValueError("Cayley graph needs n >= 1")
+        raise InvalidArgumentError("Cayley graph needs n >= 1")
     if n > CAYLEY_MAX_N:
         raise SizeLimitError(f"dense Cayley computation is limited to n <= {CAYLEY_MAX_N}")
     perms = list(itertools.permutations(range(n)))

@@ -35,6 +35,7 @@ from typing import Callable, Iterable
 from .errors import (
     BelowConstructiveRangeError,
     HeadTooSmallError,
+    InvalidArgumentError,
     NoHeadFitsError,
     TargetOutOfSegmentError,
     TnSpecError,
@@ -147,7 +148,6 @@ def linear_segment_witness(
     k: int,
     *,
     oracle_fallback: bool = False,
-    limit: int | None = None,
 ) -> WitnessRecord:
     """A verified partition of n with eigenvalue k, for any |k| <= n.
 
@@ -164,8 +164,7 @@ def linear_segment_witness(
             )
         if abs(k) > n:
             raise TargetOutOfSegmentError(f"|{k}| exceeds n = {n}")
-        found = spectrum(n, limit=limit)
-        witness = found.witness(k)
+        witness = spectrum(n).witness(k)
         if witness is None:
             raise WitnessNotFoundError(
                 f"no partition of {n} has eigenvalue {k} (so the segment "
@@ -221,14 +220,13 @@ def head_interval(n: int, first: int) -> tuple[int, int]:
 
 
 def _oracle_tail(
-    n: int, residual_n: int, first: int, residual_target: int, limit: int | None
+    residual_n: int, first: int, residual_target: int
 ) -> Partition | None:
     """Residual witness by enumeration, honoring the first-part cap."""
     constraints = (
         EnumerationConstraints(max_first_part=first) if first < residual_n else None
     )
-    found = spectrum(residual_n, constraints, limit=limit)
-    return found.witness(residual_target)
+    return spectrum(residual_n, constraints).witness(residual_target)
 
 
 def _assemble(n: int, k: int, first: int, tail: Partition, tail_chain: tuple[str, ...]) -> WitnessRecord:
@@ -245,9 +243,7 @@ def _assemble(n: int, k: int, first: int, tail: Partition, tail_chain: tuple[str
     return make_witness(n, k, partition, (f"head={first}",) + tail_chain)
 
 
-def quadratic_segment_witness(
-    n: int, k: int, *, limit: int | None = None
-) -> WitnessRecord:
+def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     """A verified partition of n with eigenvalue k, y1 <= |k| <= y2.
 
     Primary path: the smallest admissible leading part n1 whose interval
@@ -270,7 +266,7 @@ def quadratic_segment_witness(
             f"[{bounds.y1}, {bounds.y2}] (and its mirror) at n = {n}"
         )
     if k < 0:
-        return quadratic_segment_witness(n, -k, limit=limit).conjugated()
+        return quadratic_segment_witness(n, -k).conjugated()
     low_head, high_head = head_range(n)
     first = None
     for candidate in range(low_head, high_head + 1):
@@ -288,12 +284,12 @@ def quadratic_segment_witness(
     if residual_n >= LINEAR_MIN_N:
         tail_record = linear_segment_witness(residual_n, residual_target)
         return _assemble(n, k, first, tail_record.partition, tail_record.family_chain)
-    tail = _oracle_tail(n, residual_n, first, residual_target, limit)
+    tail = _oracle_tail(residual_n, first, residual_target)
     if tail is not None:
         return _assemble(n, k, first, tail, ("oracle",))
     # Rescue: other leading parts reach k with a residual target outside
     # [-(n-n1), n-n1] but well inside the residual spectrum's actual range.
-    enumerable = resolve_oracle_limit(limit)
+    enumerable = resolve_oracle_limit()
     for candidate in range(high_head, low_head - 1, -1):
         if candidate == first:
             continue
@@ -301,7 +297,7 @@ def quadratic_segment_witness(
         other_target = k - choose2(candidate) + other_n
         if other_n > enumerable or abs(other_target) > choose2(other_n):
             continue
-        tail = _oracle_tail(n, other_n, candidate, other_target, limit)
+        tail = _oracle_tail(other_n, candidate, other_target)
         if tail is not None:
             return _assemble(n, k, candidate, tail, ("oracle",))
     raise WitnessNotFoundError(
@@ -311,18 +307,18 @@ def quadratic_segment_witness(
     )
 
 
-def quadratic_segment_cover(n: int, *, limit: int | None = None) -> CoverageReport:
+def quadratic_segment_cover(n: int) -> CoverageReport:
     """Witness every k in [y1, y2] (the mirror follows by conjugation)."""
     bounds = quadratic_segment_bounds(n)
     return _run_cover(
         n,
         (bounds.y1, bounds.y2),
         range(bounds.y1, bounds.y2 + 1),
-        lambda target: quadratic_segment_witness(n, target, limit=limit),
+        lambda target: quadratic_segment_witness(n, target),
     )
 
 
-def conjecture_scan(n: int, *, limit: int | None = None) -> CoverageReport:
+def conjecture_scan(n: int) -> CoverageReport:
     """Report-only oracle scan of the unproven gap above the linear segment.
 
     For n >= 48 the gap is [n+1, y1-1]; below 48 there is no quadratic
@@ -331,12 +327,12 @@ def conjecture_scan(n: int, *, limit: int | None = None) -> CoverageReport:
     a finding about T_n, not an error in the scan.
     """
     if n < 1:
-        raise ValueError("scan needs n >= 1")
+        raise InvalidArgumentError("scan needs n >= 1")
     if n >= QUADRATIC_MIN_N:
         gap_top = quadratic_segment_bounds(n).y1 - 1
     else:
         gap_top = 2 * n
-    found = spectrum(n, limit=limit)
+    found = spectrum(n)
 
     def lookup(target: int) -> WitnessRecord:
         witness = found.witness(target)

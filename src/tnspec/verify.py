@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import TnSpecError
+from .errors import InvalidArgumentError, TnSpecError
 from .families import (
     FAMILY_REGISTRY,
     FamilyId,
@@ -25,7 +25,7 @@ from .families import (
     family_targets,
     group_bound_doubled,
 )
-from .oracle import cayley_spectrum, resolve_oracle_limit, spectrum
+from .oracle import cayley_spectrum, spectrum
 from .partitions import (
     Partition,
     choose2,
@@ -109,6 +109,21 @@ def _collect(
     )
 
 
+def _guarded(
+    cases: Iterable[tuple[str, str, tuple]], problems: Callable[..., list[str]]
+) -> Iterator[CaseOutcome]:
+    """One outcome per (inputs, expected, args) case from problems(*args),
+    which lists what is wrong; an exception it raises becomes a failed case
+    with "<ExcType>: <message>" as got."""
+    for inputs, expected, args in cases:
+        try:
+            found = problems(*args)
+        except Exception as exc:  # noqa: BLE001 — failures become data
+            yield inputs, False, expected, f"{type(exc).__name__}: {exc}"
+        else:
+            yield inputs, not found, expected, "; ".join(found) or "ok"
+
+
 def verify_family(
     family: FamilyId, n_range: tuple[int, int] = (1, 80)
 ) -> VerificationReport:
@@ -122,38 +137,34 @@ def verify_family(
     low, high = n_range
     spec = FAMILY_REGISTRY[family]
 
-    def outcomes() -> Iterator[CaseOutcome]:
-        for n in range(low, high + 1):
-            for lam in family_targets(family, n):
-                inputs = f"n={n} target={lam}"
-                expected = f"partition of {n} with eigenvalue {lam}"
-                try:
-                    compact = build_family(family, n, lam)
-                    partition = expand(compact)
-                    problems = []
-                    if partition.n != n:
-                        problems.append(f"parts sum to {partition.n}")
-                    actual = eigenvalue(partition)
-                    if actual != lam:
-                        problems.append(f"eigenvalue {actual}")
-                    if compact_eigenvalue(compact) != lam:
-                        problems.append("run-length evaluation disagrees")
-                    if spec.closed_forms is not None:
-                        want_head, want_deduction = spec.closed_forms(n, lam)
-                        head_eig = eigenvalue(Partition(compact.head))
-                        if head_eig != want_head:
-                            problems.append(
-                                f"head eigenvalue {head_eig} != polynomial {want_head}"
-                            )
-                        if head_eig - actual != want_deduction:
-                            problems.append(
-                                f"deduction {head_eig - actual} != polynomial {want_deduction}"
-                            )
-                    yield inputs, not problems, expected, "; ".join(problems) or "ok"
-                except Exception as exc:  # noqa: BLE001 — failures become data
-                    yield inputs, False, expected, f"{type(exc).__name__}: {exc}"
+    def problems(n: int, lam: int) -> list[str]:
+        compact = build_family(family, n, lam)
+        partition = expand(compact)
+        found = []
+        if partition.n != n:
+            found.append(f"parts sum to {partition.n}")
+        actual = eigenvalue(partition)
+        if actual != lam:
+            found.append(f"eigenvalue {actual}")
+        if compact_eigenvalue(compact) != lam:
+            found.append("run-length evaluation disagrees")
+        if spec.closed_forms is not None:
+            want_head, want_deduction = spec.closed_forms(n, lam)
+            head_eig = eigenvalue(Partition(compact.head))
+            if head_eig != want_head:
+                found.append(f"head eigenvalue {head_eig} != polynomial {want_head}")
+            if head_eig - actual != want_deduction:
+                found.append(
+                    f"deduction {head_eig - actual} != polynomial {want_deduction}"
+                )
+        return found
 
-    return _collect(f"family:{family.value}", n_range, outcomes())
+    cases = (
+        (f"n={n} target={lam}", f"partition of {n} with eigenvalue {lam}", (n, lam))
+        for n in range(low, high + 1)
+        for lam in family_targets(family, n)
+    )
+    return _collect(f"family:{family.value}", n_range, _guarded(cases, problems))
 
 
 def verify_first_part_bounds(
@@ -168,30 +179,30 @@ def verify_first_part_bounds(
     """
     low, high = n_range
 
-    def outcomes() -> Iterator[CaseOutcome]:
+    def problems(family: FamilyId, n: int, lam: int, doubled: int) -> list[str]:
+        partition = expand(build_family(family, n, lam))
+        found = []
+        if 2 * partition.first_part > doubled:
+            found.append(f"first part {partition.first_part}")
+        if 2 * len(partition) > doubled:
+            found.append(f"length {len(partition)}")
+        return found
+
+    def cases() -> Iterator[tuple[str, str, tuple]]:
         for n in range(max(low, LINEAR_MIN_N), high + 1):
             for family, spec in FAMILY_REGISTRY.items():
                 doubled = group_bound_doubled(spec.group, n)
                 for lam in family_targets(family, n):
-                    inputs = f"family={family.value} n={n} target={lam}"
-                    expected = f"first part and length <= {doubled}/2"
-                    try:
-                        partition = expand(build_family(family, n, lam))
-                        problems = []
-                        if 2 * partition.first_part > doubled:
-                            problems.append(f"first part {partition.first_part}")
-                        if 2 * len(partition) > doubled:
-                            problems.append(f"length {len(partition)}")
-                        yield inputs, not problems, expected, "; ".join(problems) or "ok"
-                    except Exception as exc:  # noqa: BLE001
-                        yield inputs, False, expected, f"{type(exc).__name__}: {exc}"
+                    yield (
+                        f"family={family.value} n={n} target={lam}",
+                        f"first part and length <= {doubled}/2",
+                        (family, n, lam, doubled),
+                    )
 
-    return _collect("first_part_bounds", n_range, outcomes())
+    return _collect("first_part_bounds", n_range, _guarded(cases(), problems))
 
 
-def cross_check_oracle(
-    n_range: tuple[int, int] = (2, 45), *, limit: int | None = None
-) -> VerificationReport:
+def cross_check_oracle(n_range: tuple[int, int] = (2, 45)) -> VerificationReport:
     """Exhaustive spectra versus everything else.
 
     Per n: the spectrum is symmetric about zero with extremes at
@@ -204,7 +215,7 @@ def cross_check_oracle(
     def outcomes() -> Iterator[CaseOutcome]:
         for n in range(max(low, 1), high + 1):
             try:
-                full = spectrum(n, limit=limit)
+                full = spectrum(n)
             except TnSpecError as exc:
                 yield f"n={n}", False, "spectrum enumerable", str(exc)
                 continue
@@ -230,7 +241,7 @@ def cross_check_oracle(
             if n >= LINEAR_MIN_N:
                 covers.append(("linear", linear_segment_cover(n)))
             if n >= QUADRATIC_MIN_N:
-                covers.append(("quadratic", quadratic_segment_cover(n, limit=limit)))
+                covers.append(("quadratic", quadratic_segment_cover(n)))
             for label, cover in covers:
                 for record in cover.records:
                     ok = record.target in full
@@ -275,7 +286,7 @@ def verify_linear_segment(
 
 
 def verify_quadratic_segment(
-    n_range: tuple[int, int] = (48, 60), *, limit: int | None = None
+    n_range: tuple[int, int] = (48, 60)
 ) -> VerificationReport:
     """Every k with y1 <= |k| <= y2 gets a verified witness (both signs).
 
@@ -303,7 +314,7 @@ def verify_quadratic_segment(
                 "consecutive intervals overlap or adjoin",
                 detail,
             )
-            cover = quadratic_segment_cover(n, limit=limit)
+            cover = quadratic_segment_cover(n)
             for record in cover.records:
                 yield f"n={n} k={record.target}", True, "verified witness", "ok"
                 try:
@@ -359,7 +370,7 @@ def run_checks(
     reports = []
     for check_id in selected:
         if check_id not in DEFAULT_CHECKS:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"unknown check {check_id!r}; known: {', '.join(DEFAULT_CHECKS)}"
             )
         (default_low, default_high), runner = DEFAULT_CHECKS[check_id]

@@ -75,11 +75,12 @@ class TestSpectrum:
         assert code == 0
         assert out == "-15 -9 -5 -3\n"
 
-    def test_limit_flag(self, capsys):
+    def test_limit_flag(self, capsys, monkeypatch):
         code, _, err = invoke(capsys, ["spectrum", "55"])
         assert code == 1
         assert "limit" in err
-        code, out, _ = invoke(capsys, ["spectrum", "51", "--oracle-limit", "51"])
+        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "51")
+        code, out, _ = invoke(capsys, ["spectrum", "51"])
         assert code == 0
         assert out.split()[-1] == "1275"
 
@@ -90,15 +91,47 @@ class TestSpectrum:
         assert "limit" in err
 
     def test_malformed_limit_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "abc")
-        for call in (lambda: spectrum(10), lambda: list(enumerate_partitions(10))):
-            with pytest.raises(OracleLimitError, match="TNSPEC_ORACLE_LIMIT") as info:
-                call()
-            assert isinstance(info.value, TnSpecError)
-        code, out, err = invoke(capsys, ["spectrum", "10"])
+        for value in ("abc", "0", "-3"):
+            monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", value)
+            for call in (lambda: spectrum(10), lambda: list(enumerate_partitions(10))):
+                with pytest.raises(OracleLimitError, match="TNSPEC_ORACLE_LIMIT") as info:
+                    call()
+                assert isinstance(info.value, TnSpecError)
+            code, out, err = invoke(capsys, ["spectrum", "10"])
+            assert code == 1
+            assert out == ""
+            assert "TNSPEC_ORACLE_LIMIT" in err and repr(value) in err
+
+
+class TestOracleLimit:
+    def test_env_var_is_the_only_setting(self, capsys, monkeypatch):
+        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "5")
+        for argv in (
+            ["spectrum", "6"],
+            ["contains", "6", "3"],
+            ["conjecture", "6"],
+            ["witness", "--theorem", "5", "48", "413"],
+        ):
+            code, out, err = invoke(capsys, argv)
+            assert (code, out) == (1, ""), argv
+            assert "limit" in err, argv
+        code, _, _ = invoke(capsys, ["verify", "--checks", "oracle_cross_check"])
         assert code == 1
-        assert out == ""
-        assert "TNSPEC_ORACLE_LIMIT" in err and "'abc'" in err
+        for argv in (
+            ["eig", "4", "1"],
+            ["conj", "4", "1"],
+            ["spectrum", "4"],
+            ["contains", "4", "2"],
+            ["witness", "31", "0"],
+            ["cover", "31"],
+            ["bounds", "48"],
+            ["verify", "--checks", "family:Zero"],
+            ["conjecture", "6"],
+            ["cayley", "3"],
+        ):
+            code, _, err = invoke(capsys, [*argv, "--oracle-limit", "5"])
+            assert code == 2, argv
+            assert "--oracle-limit" in err, argv
 
 
 class TestContains:

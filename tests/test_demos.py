@@ -17,7 +17,6 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    env.pop("TNSPEC_ORACLE_LIMIT", None)
     result = subprocess.run(
         [sys.executable, str(demo)],
         cwd=ROOT,

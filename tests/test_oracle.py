@@ -2,7 +2,7 @@
 
 import pytest
 
-from tnspec.errors import OracleLimitError, SizeLimitError
+from tnspec.errors import OracleLimitError, SizeLimitError, TnSpecError
 from tnspec.oracle import (
     EnumerationConstraints,
     cayley_adjacency,
@@ -13,6 +13,35 @@ from tnspec.oracle import (
     spectrum,
 )
 from tnspec.partitions import choose2, eigenvalue
+from tnspec.segments import conjecture_scan
+from tnspec.verify import run_checks
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partition_count(-1),
+        lambda: partition_count(10_001),
+        lambda: list(enumerate_partitions(0)),
+        lambda: spectrum(0),
+        lambda: cayley_adjacency(0),
+        lambda: conjecture_scan(0),
+        lambda: run_checks(["bogus"]),
+    ],
+    ids=[
+        "partition_count(-1)",
+        "partition_count(10_001)",
+        "enumerate_partitions(0)",
+        "spectrum(0)",
+        "cayley_adjacency(0)",
+        "conjecture_scan(0)",
+        "run_checks(bogus)",
+    ],
+)
+def test_rejected_input_is_typed(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert isinstance(info.value, TnSpecError)
 
 
 class TestEnumeration:
@@ -47,11 +76,12 @@ class TestEnumeration:
         for n in range(1, 41):
             assert sum(1 for _ in enumerate_partitions(n)) == partition_count(n)
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
         with pytest.raises(OracleLimitError):
             list(enumerate_partitions(51))
-        # explicit limit raises the ceiling
-        assert sum(1 for _ in enumerate_partitions(51, limit=51)) == partition_count(51)
+        # the environment variable raises the ceiling
+        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "51")
+        assert sum(1 for _ in enumerate_partitions(51)) == partition_count(51)
 
     def test_env_var_limit(self, monkeypatch):
         monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "10")
@@ -126,7 +156,9 @@ class TestSpectrum:
         assert payload["witnesses"]["0"] == [2, 2]
 
     def test_no_witness_request(self):
-        found = spectrum(5, witnesses=False)
+        # enumerated spectra always keep witnesses; only the Cayley matrix,
+        # which knows no partitions, has none
+        found = cayley_spectrum(5)
         assert found.witnesses is None
         assert found.witness(0) is None
 

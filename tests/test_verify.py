@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tnspec import verify
 from tnspec.verify import (
     DEFAULT_CHECKS,
     MAX_FAILURE_SAMPLES,
@@ -128,3 +129,20 @@ class TestRunChecks:
         table = format_table(reports)
         assert "family:Zero" in table
         assert "first_part_bounds" in table
+
+
+class TestCrashes:
+    def test_crash_becomes_failed_case(self, monkeypatch):
+        def broken(family, n, lam):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "build_family", broken)
+        for report in (
+            verify_family(FamilyId.ZERO, (31, 32)),
+            verify_first_part_bounds((31, 31)),
+        ):
+            assert report.cases_run > 0
+            assert report.cases_failed == report.cases_run
+            assert report.failure_samples
+            for sample in report.failure_samples:
+                assert sample.got == "RuntimeError: boom"
