@@ -26,11 +26,14 @@ print(f"p(6) = {len(partitions)} (recurrence says {partition_count(6)})")
 print("first five:", ", ".join(str(p) for p in partitions[:5]))
 
 # The spectrum is the set of distinct eigenvalues over all partitions.
+# spectrum() reads it from a table of bitsets built by splitting off the
+# leading part, without visiting the p(n) partitions one by one.
 # T_4 already shows a hole at +-1 and +-3: not every integer in the range
 # is hit.
 print("Spec(T_4) =", spectrum(4).values)
 
-# Each value remembers the first partition that produced it.
+# Each value's witness is the first partition in the enumeration order
+# above that produces it; the oracle finds it by walking its table back.
 full = spectrum(6)
 for value in (15, 5, 0, -9):
     print(f"  {value:3d} witnessed by {full.witness(value)}")
@@ -48,8 +51,8 @@ print(f"max rounding residual: {np.max(np.abs(raw - np.rint(raw))):.2e}")
 print("numeric  :", cayley_spectrum(4).values)
 print("partition:", spectrum(4).values)
 
-# The enumeration also accepts shape constraints (max first part, max
-# length), which is how restricted tails are searched later.
+# The spectrum also accepts a cap on the parts, which is how restricted
+# tails are searched later.
 narrow = spectrum(6, EnumerationConstraints(max_first_part=2))
 print("Spec restricted to parts <= 2:", narrow.values)
 

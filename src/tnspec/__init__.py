@@ -3,7 +3,8 @@
 T_n is the Cayley graph of Sym(n) generated by all transpositions.  This
 package computes its eigenvalues exactly from integer partitions, builds
 explicit witness partitions for whole segments of eigenvalues, and
-re-verifies everything against brute-force enumeration.
+re-verifies everything against an exact spectrum table, brute-force
+enumeration and, for tiny n, a dense Cayley matrix.
 """
 
 from .errors import (

@@ -118,9 +118,9 @@ def _cmd_conj(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    constraints = EnumerationConstraints(args.max_first_part, args.max_length)
+    constraints = EnumerationConstraints(max_first_part=args.max_first_part)
     result = spectrum(args.n, constraints)
-    payload = result.to_json_dict()
+    payload = result.to_json_dict(with_witnesses=args.witnesses)
     text = [" ".join(str(value) for value in result.values)]
     rows: list[list[str]] = [["value", "witness"]]
     if args.witnesses:
@@ -129,7 +129,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             text.append(f"{value}: {witness}")
             rows.append([str(value), str(witness)])
     else:
-        payload.pop("witnesses", None)
         rows.extend([str(value), ""] for value in result.values)
     _emit(args, payload, text, rows, f"spectrum_{args.n}")
     return 0
@@ -289,11 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conj)
 
     p = sub.add_parser(
-        "spectrum", parents=[common], help="exhaustive spectrum of T_n"
+        "spectrum", parents=[common], help="spectrum of T_n from the oracle table"
     )
     p.add_argument("n", type=int)
     p.add_argument("--max-first-part", type=int, default=None, metavar="M")
-    p.add_argument("--max-length", type=int, default=None, metavar="L")
     p.add_argument(
         "--witnesses", action="store_true", help="include one witness per value"
     )

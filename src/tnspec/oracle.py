@@ -1,16 +1,36 @@
-"""Brute-force ground truth for T_n spectra.
+"""Ground truth for T_n spectra.
 
-Two independent oracles live here:
+The working oracle is one table of bitsets over (m, max part), built from
+the head identity of partitions.py: for a partition p of m - f with parts
+at most f,
 
-* exhaustive enumeration of partitions of n (reverse-lexicographic) with
-  the eigenvalue formula applied to each — the working oracle, feasible
-  to n around 50..66 on a desktop (p(50) = 204226, p(66) = 2323520);
+    eig((f, p)) = C(f, 2) + eig(p) - (m - f).
+
+Entry S[m][f] is a Python int whose bit e + C(m, 2) is set when some
+partition of m with parts at most f has eigenvalue e.  Since
+C(m, 2) = C(f, 2) + C(m - f, 2) + f(m - f), the identity moves every bit
+of S[m - f][min(f, m - f)] up by exactly (f - 1) * m, so
+
+    S[m][f] = S[m][f - 1] | (S[m - f][min(f, m - f)] << (f - 1) * m).
+
+One table, grown on demand to the largest n asked for, serves every
+spectrum(n, max_first_part).  A witness is read by walking the table back,
+taking at each step the largest head whose remainder still has the needed
+bit: that is the lexicographically largest partition with the eigenvalue,
+the first one in reverse-lexicographic order.  Witnesses are walked only
+when asked for.  The table's memory grows like N^4 (2.4 MiB at N = 100,
+37 MiB at N = 200, 186 MiB at N = 300), so the oracle limit may not
+exceed TABLE_MAX_N.
+
+Two checks share no code with the table:
+
+* enumerate_partitions, which yields the partitions of n themselves in
+  reverse-lexicographic order (and whose count partition_count checks by
+  Euler's pentagonal recurrence); the tests compare its first witness per
+  eigenvalue with the table's;
 * the dense Cayley-graph adjacency matrix of T_n with a numeric
   eigensolver — independent of all partition formulas, feasible only to
   n = 6 (720 x 720), used to certify the formula-based path end to end.
-
-Enumeration order is deterministic, so the first witness recorded for
-each eigenvalue is reproducible run to run.
 """
 
 from __future__ import annotations
@@ -18,9 +38,9 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -30,23 +50,25 @@ from .errors import (
     OracleLimitError,
     SizeLimitError,
 )
-from .partitions import Partition, eigenvalue_of_parts
+from .partitions import Partition, choose2
 
 DEFAULT_ORACLE_LIMIT = 50
 ORACLE_LIMIT_ENV_VAR = "TNSPEC_ORACLE_LIMIT"
+# Largest n the spectrum table may be grown to: at 200 it holds 37 MiB of
+# bitsets and builds in ~0.05 s; at 300 it would hold 186 MiB.
+TABLE_MAX_N = 200
 CAYLEY_MAX_N = 6
 ROUNDING_TOLERANCE = 1e-6
 PARTITION_COUNT_MAX_N = 10_000
 
 
 def resolve_oracle_limit() -> int:
-    """Effective enumeration limit: the environment variable
-    TNSPEC_ORACLE_LIMIT, else the default (50).
+    """Effective oracle limit: the environment variable TNSPEC_ORACLE_LIMIT,
+    else the default (50).
 
     This is the only place the setting is read.  A value that is not an
-    integer, or is below 1, raises OracleLimitError naming the variable.
-    Raising it to ~66 keeps runs in the minutes range; beyond that the
-    partition count (and memory for witnesses) grows quickly.
+    integer, is below 1 or is above TABLE_MAX_N raises OracleLimitError
+    naming the variable.
     """
     from_env = os.environ.get(ORACLE_LIMIT_ENV_VAR)
     if from_env is None:
@@ -61,11 +83,15 @@ def resolve_oracle_limit() -> int:
         raise OracleLimitError(
             f"{ORACLE_LIMIT_ENV_VAR} must be at least 1, got {from_env!r}"
         )
+    if limit > TABLE_MAX_N:
+        raise OracleLimitError(
+            f"{ORACLE_LIMIT_ENV_VAR} must be at most {TABLE_MAX_N}, got {from_env!r}"
+        )
     return limit
 
 
 def _check_oracle_limit(n: int) -> None:
-    """Refuse enumeration above the effective oracle limit."""
+    """Refuse oracle work above the effective oracle limit."""
     limit = resolve_oracle_limit()
     if n > limit:
         raise OracleLimitError(
@@ -76,10 +102,10 @@ def _check_oracle_limit(n: int) -> None:
 
 @dataclass(frozen=True)
 class EnumerationConstraints:
-    """Optional caps on enumerated partitions.
+    """Optional caps on partitions.
 
     max_first_part bounds every part; max_length bounds the number of
-    parts.  None means unconstrained.
+    parts (enumerate_partitions only).  None means unconstrained.
     """
 
     max_first_part: int | None = None
@@ -90,27 +116,42 @@ class EnumerationConstraints:
 class SpectrumSet:
     """Distinct eigenvalues of (possibly constrained) partitions of n.
 
-    values are sorted ascending.  witnesses map each value to the first
-    partition encountered in enumeration order that attains it; None means
-    the source knows no partitions (the Cayley matrix).
+    bits has bit e + C(n, 2) set for each eigenvalue e; values lists them
+    ascending.  walk_back maps a value in the set to its witness, the first
+    partition attaining it in reverse-lexicographic order; None means the
+    source knows no partitions (the Cayley matrix).
     """
 
     n: int
-    values: tuple[int, ...]
-    witnesses: dict[int, Partition] | None = None
+    bits: int = field(repr=False)
+    walk_back: Callable[[int], Partition] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        offset = choose2(self.n)
+        digits = bin(self.bits)[:1:-1]  # digits[i] is bit i
+        return tuple(i - offset for i, digit in enumerate(digits) if digit == "1")
+
+    @cached_property
+    def witnesses(self) -> dict[int, Partition] | None:
+        if self.walk_back is None:
+            return None
+        return {value: self.walk_back(value) for value in self.values}
 
     def __contains__(self, value: int) -> bool:
-        index = bisect_left(self.values, value)
-        return index < len(self.values) and self.values[index] == value
+        index = value + choose2(self.n)
+        return index >= 0 and self.bits >> index & 1 == 1
 
     def witness(self, value: int) -> Partition | None:
-        if self.witnesses is None:
+        if self.walk_back is None or value not in self:
             return None
-        return self.witnesses.get(value)
+        return self.walk_back(value)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, with_witnesses: bool = True) -> dict:
         payload: dict = {"n": self.n, "values": list(self.values)}
-        if self.witnesses is not None:
+        if with_witnesses and self.witnesses is not None:
             payload["witnesses"] = {
                 str(value): list(partition.parts)
                 for value, partition in sorted(self.witnesses.items())
@@ -119,7 +160,11 @@ class SpectrumSet:
 
 
 _pcount_cache: list[int] = [1]
-_spectrum_cache: dict[tuple[int, int, int | None], SpectrumSet] = {}
+# _table[m][f] is S[m][f] of the module docstring, for f = 0..m; row 0
+# holds the empty partition.  Rows are only appended, under _cache_lock,
+# and clear_caches rebinds the name, so a SpectrumSet's walk_back keeps
+# reading the rows it was built from.
+_table: list[list[int]] = [[1]]
 _cache_lock = threading.Lock()
 
 
@@ -176,13 +221,22 @@ def _iter_parts(
 def _normalized_key(
     n: int, constraints: EnumerationConstraints | None
 ) -> tuple[int, int, int | None]:
+    """(n, first-part cap, length cap) with the caps clipped to n.
+
+    A cap below 1 admits no partition of n >= 1, so it is rejected rather
+    than answered with an empty result.
+    """
     max_first = n
     max_length = None
     if constraints is not None:
+        for name in ("max_first_part", "max_length"):
+            cap = getattr(constraints, name)
+            if cap is not None and cap < 1:
+                raise InvalidArgumentError(f"{name} must be at least 1, got {cap}")
         if constraints.max_first_part is not None:
-            max_first = max(0, min(constraints.max_first_part, n))
+            max_first = min(constraints.max_first_part, n)
         if constraints.max_length is not None:
-            max_length = max(0, min(constraints.max_length, n))
+            max_length = min(constraints.max_length, n)
     return n, max_first, max_length
 
 
@@ -203,57 +257,80 @@ def enumerate_partitions(
         yield Partition(parts)
 
 
+def _grown_table(n: int) -> list[list[int]]:
+    """The shared table, with rows 0..n built."""
+    with _cache_lock:
+        table = _table
+        for m in range(len(table), n + 1):
+            row = [0]
+            for head in range(1, m + 1):
+                rest = m - head
+                row.append(row[-1] | table[rest][min(head, rest)] << (head - 1) * m)
+            table.append(row)
+        return table
+
+
+def _walk_back(table: list[list[int]], n: int, max_part: int, value: int) -> Partition:
+    """Lexicographically largest partition of n, parts <= max_part, with
+    eigenvalue `value`; the caller has checked that one exists."""
+    parts = []
+    m, head, bit = n, max_part, value + choose2(n)
+    while m:
+        # A head above bit // m + 1 would need a negative remainder bit.
+        # Since bit <= m(m - 1), that bound also keeps the head <= m.
+        head = min(head, bit // m + 1)
+        bit -= (head - 1) * m
+        while True:
+            rest = m - head
+            if table[rest][head if head < rest else rest] >> bit & 1:
+                break
+            head -= 1
+            bit += m
+        parts.append(head)
+        m = rest
+    return Partition(tuple(parts))
+
+
 def spectrum(
     n: int, constraints: EnumerationConstraints | None = None
 ) -> SpectrumSet:
-    """Exhaustive spectrum of T_n restricted to the constrained partitions.
+    """Spectrum of T_n restricted to partitions with parts <= max_first_part.
 
-    Witness per value is the first partition attaining it in enumeration
-    order; the result always carries witnesses.  Full results (per
-    distinct constraint set) are memoized, so repeated membership queries
-    share one enumeration; the cache is thread-safe.
+    Read from the shared table, which is grown to n on first use; values
+    and witnesses are derived from it only when asked for.  The witness of
+    a value is the first partition attaining it in reverse-lexicographic
+    order, the one enumerate_partitions would reach first.  A length cap
+    below n raises InvalidArgumentError: the table has no length axis, and
+    only enumerate_partitions supports one.
     """
     if n < 1:
         raise InvalidArgumentError("spectrum needs n >= 1")
     _check_oracle_limit(n)
-    key = _normalized_key(n, constraints)
-    with _cache_lock:
-        cached = _spectrum_cache.get(key)
-    if cached is not None:
-        return cached
-
-    found: dict[int, tuple[int, ...]] = {}
-    _, max_first, max_length = key
-    for parts in _iter_parts(n, max_first, max_length):
-        value = eigenvalue_of_parts(parts)
-        if value not in found:
-            found[value] = parts
-    result = SpectrumSet(
-        n,
-        tuple(sorted(found)),
-        {value: Partition(parts) for value, parts in found.items()},
-    )
-    with _cache_lock:
-        _spectrum_cache[key] = result
-    return result
+    _, max_first, max_length = _normalized_key(n, constraints)
+    if max_length is not None and max_length < n:
+        raise InvalidArgumentError(
+            "length caps are supported by enumerate_partitions only"
+        )
+    table = _grown_table(n)
+    return SpectrumSet(n, table[n][max_first], partial(_walk_back, table, n, max_first))
 
 
 def contains(n: int, value: int) -> tuple[bool, Partition | None]:
     """Is `value` an eigenvalue of T_n?  Returns (answer, witness or None).
 
-    Backed by the memoized full spectrum, so the first call per n pays for
-    the enumeration and later calls are lookups.
+    One bit test in the shared table, plus one walk back when the value is
+    present.
     """
-    spec = spectrum(n)
-    if value in spec:
-        return True, spec.witness(value)
-    return False, None
+    witness = spectrum(n).witness(value)
+    return witness is not None, witness
 
 
 def clear_caches() -> None:
-    """Drop memoized spectra and counts (for tests and memory control)."""
+    """Drop the spectrum table and the partition counts (for tests and
+    memory control)."""
+    global _table
     with _cache_lock:
-        _spectrum_cache.clear()
+        _table = [[1]]
         del _pcount_cache[1:]
 
 
@@ -298,5 +375,8 @@ def cayley_spectrum(n: int) -> SpectrumSet:
         raise IntegerRoundingError(
             f"eigenvalue {worst:.3e} away from an integer (tolerance {ROUNDING_TOLERANCE})"
         )
-    values = tuple(sorted({int(v) for v in rounded}))
-    return SpectrumSet(n, values, None)
+    offset = choose2(n)
+    bits = 0
+    for value in {int(v) for v in rounded}:
+        bits |= 1 << (value + offset)
+    return SpectrumSet(n, bits)

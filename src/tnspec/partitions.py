@@ -119,9 +119,9 @@ def make_partition(parts: Iterable[int]) -> Partition:
 def eigenvalue_of_parts(parts: Sequence[int]) -> int:
     """Eigenvalue formula on a raw part sequence (no validation).
 
-    Used by the exhaustive enumerator, where parts are produced
-    nonincreasing by construction and wrapping each tuple in a Partition
-    would dominate the running time.
+    For callers whose parts are nonincreasing by construction, such as
+    tests that walk enumerated tuples, where wrapping each tuple in a
+    Partition would dominate the running time.
     """
     doubled = 0
     for j, part in enumerate(parts, start=1):

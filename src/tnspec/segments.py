@@ -17,7 +17,7 @@ Two constructive results are implemented:
   The witness takes the smallest leading part n1 with
   C(n1,2) - 2(n - n1) <= k <= C(n1,2); the residual target then lies in
   [-(n - n1), n - n1] and is produced by the linear driver when
-  n - n1 >= 31 or by exhaustive enumeration of the (first-part-bounded)
+  n - n1 >= 31 or by the oracle's spectrum of the (first-part-bounded)
   residual partitions otherwise.  Consecutive head intervals overlap
   throughout the head range, so a target with no head is a bug, not a gap.
 
@@ -153,7 +153,7 @@ def linear_segment_witness(
 
     Constructive for n >= 31.  Below that the closed-form families carry
     no guarantee; with oracle_fallback=True the witness is instead looked
-    up by exhaustive enumeration (subject to the oracle limit), and
+    up in the oracle's spectrum (subject to the oracle limit), and
     absence is reported as WitnessNotFoundError.
     """
     if n < LINEAR_MIN_N:
@@ -222,7 +222,7 @@ def head_interval(n: int, first: int) -> tuple[int, int]:
 def _oracle_tail(
     residual_n: int, first: int, residual_target: int
 ) -> Partition | None:
-    """Residual witness by enumeration, honoring the first-part cap."""
+    """Residual witness from the oracle, honoring the first-part cap."""
     constraints = (
         EnumerationConstraints(max_first_part=first) if first < residual_n else None
     )
@@ -249,8 +249,8 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     Primary path: the smallest admissible leading part n1 whose interval
     brackets k, so the residual target lies in [-(n-n1), n-n1]; the
     residual witness comes from the linear driver when n-n1 >= 31, and
-    from exhaustive enumeration of first-part-capped partitions otherwise
-    (the top few leading parts always land below 31, so enumeration is
+    from the oracle's spectrum of first-part-capped partitions otherwise
+    (the top few leading parts always land below 31, so the oracle is
     part of the normal path, not an escape hatch).
 
     A residual below size 31 may genuinely lack the bracketed target

@@ -75,6 +75,17 @@ class TestSpectrum:
         assert code == 0
         assert out == "-15 -9 -5 -3\n"
 
+    def test_unsatisfiable_cap(self, capsys):
+        for cap in ("-1", "0"):
+            code, out, err = invoke(capsys, ["spectrum", "6", "--max-first-part", cap])
+            assert (code, out) == (1, "")
+            assert "max_first_part" in err
+
+    def test_max_length_is_gone(self, capsys):
+        code, out, err = invoke(capsys, ["spectrum", "6", "--max-length", "3"])
+        assert (code, out) == (2, "")
+        assert "--max-length" in err
+
     def test_limit_flag(self, capsys, monkeypatch):
         code, _, err = invoke(capsys, ["spectrum", "55"])
         assert code == 1
@@ -91,7 +102,7 @@ class TestSpectrum:
         assert "limit" in err
 
     def test_malformed_limit_env_var(self, capsys, monkeypatch):
-        for value in ("abc", "0", "-3"):
+        for value in ("abc", "0", "-3", "201"):
             monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", value)
             for call in (lambda: spectrum(10), lambda: list(enumerate_partitions(10))):
                 with pytest.raises(OracleLimitError, match="TNSPEC_ORACLE_LIMIT") as info:

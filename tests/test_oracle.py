@@ -1,18 +1,24 @@
 """Enumeration oracle, partition counting, and the dense Cayley cross-check."""
 
+import sys
+import threading
+
 import pytest
 
+from tnspec import oracle, partitions
 from tnspec.errors import OracleLimitError, SizeLimitError, TnSpecError
 from tnspec.oracle import (
     EnumerationConstraints,
+    _iter_parts,
     cayley_adjacency,
     cayley_spectrum,
+    clear_caches,
     contains,
     enumerate_partitions,
     partition_count,
     spectrum,
 )
-from tnspec.partitions import choose2, eigenvalue
+from tnspec.partitions import choose2, eigenvalue, eigenvalue_of_parts
 from tnspec.segments import conjecture_scan
 from tnspec.verify import run_checks
 
@@ -24,6 +30,9 @@ from tnspec.verify import run_checks
         lambda: partition_count(10_001),
         lambda: list(enumerate_partitions(0)),
         lambda: spectrum(0),
+        lambda: spectrum(6, EnumerationConstraints(max_first_part=0)),
+        lambda: spectrum(6, EnumerationConstraints(max_length=3)),
+        lambda: list(enumerate_partitions(6, EnumerationConstraints(max_length=0))),
         lambda: cayley_adjacency(0),
         lambda: conjecture_scan(0),
         lambda: run_checks(["bogus"]),
@@ -33,6 +42,9 @@ from tnspec.verify import run_checks
         "partition_count(10_001)",
         "enumerate_partitions(0)",
         "spectrum(0)",
+        "spectrum(6, max_first_part=0)",
+        "spectrum(6, max_length=3)",
+        "enumerate_partitions(6, max_length=0)",
         "cayley_adjacency(0)",
         "conjecture_scan(0)",
         "run_checks(bogus)",
@@ -161,6 +173,69 @@ class TestSpectrum:
         found = cayley_spectrum(5)
         assert found.witnesses is None
         assert found.witness(0) is None
+
+
+    def test_table_matches_enumerator(self):
+        # The table and the enumerator share no code: every value and every
+        # witness (first partition in reverse-lexicographic order) agree, for
+        # n = 1..30 at every cap and for n = 40 uncapped.  That order lists
+        # partitions by first part, largest first, so under cap c the first
+        # witness comes from the partitions starting with c, else from those
+        # under cap c - 1; one enumeration per n serves every cap.
+        for n in [*range(1, 31), 40]:
+            groups: dict[int, dict[int, tuple[int, ...]]] = {}
+            for parts in _iter_parts(n, n, None):
+                group = groups.setdefault(parts[0], {})
+                group.setdefault(eigenvalue_of_parts(parts), parts)
+            first: dict[int, tuple[int, ...]] = {}
+            for cap in range(1, n + 1):
+                first = {**first, **groups[cap]}
+                if n > 30 and cap < n:
+                    continue
+                found = spectrum(n, EnumerationConstraints(max_first_part=cap))
+                assert found.values == tuple(sorted(first)), (n, cap)
+                witnesses = {value: found.witness(value).parts for value in found.values}
+                assert witnesses == first, (n, cap)
+
+    def test_spectrum_does_not_enumerate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("spectrum enumerated partitions")
+
+        monkeypatch.setattr(oracle, "_iter_parts", refuse)
+        monkeypatch.setattr(partitions, "eigenvalue_of_parts", refuse)
+        clear_caches()
+        found = spectrum(40)
+        assert len(found.witnesses) == len(found.values)
+
+    def test_clear_caches_drops_the_table(self):
+        spectrum(30)
+        assert len(oracle._table) > 30
+        clear_caches()
+        assert len(oracle._table) == 1
+
+    def test_concurrent_growth(self):
+        # Threads that grow the shared table at once must see the rows a
+        # single thread builds.
+        sizes = [20, 35, 50, 28, 44, 50]
+        clear_caches()
+        expected = {n: spectrum(n).values for n in sizes}
+        clear_caches()
+        got: dict[int, tuple[int, ...]] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda n=n: got.__setitem__(n, spectrum(n).values))
+                for n in sizes
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
 
 class TestContains:
