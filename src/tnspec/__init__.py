@@ -4,7 +4,7 @@ T_n is the Cayley graph of Sym(n) generated by all transpositions.  This
 package computes its eigenvalues exactly from integer partitions, builds
 explicit witness partitions for whole segments of eigenvalues, and
 re-verifies everything against an exact spectrum table, brute-force
-enumeration and, for tiny n, a dense Cayley matrix.
+enumeration and, for n <= 6, the exact spectrum of the Cayley graph itself.
 """
 
 from .errors import (
@@ -40,7 +40,6 @@ from .oracle import (
     DEFAULT_ORACLE_LIMIT,
     EnumerationConstraints,
     SpectrumSet,
-    cayley_adjacency,
     cayley_spectrum,
     contains,
     enumerate_partitions,
@@ -54,7 +53,6 @@ from .partitions import (
     Partition,
     choose2,
     compact_eigenvalue,
-    compact_eigenvalue_ones,
     conjugate,
     eigenvalue,
     eigenvalue_via_head,

@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser(
-        "cayley", parents=[common], help="spectrum from the dense Cayley matrix (n <= 6)"
+        "cayley", parents=[common], help="exact spectrum of the Cayley graph (n <= 6)"
     )
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_cayley)

@@ -74,8 +74,8 @@ class OracleLimitError(TnSpecError, ValueError):
 
 
 class SizeLimitError(TnSpecError, ValueError):
-    """n exceeds a hard size limit (dense Cayley graph, partition count)."""
+    """n exceeds a hard size limit (Cayley spectrum, partition count)."""
 
 
 class IntegerRoundingError(TnSpecError, ArithmeticError):
-    """A numeric eigenvalue was not within tolerance of an integer."""
+    """An eigenvalue of the Cayley operator is not an integer in [-C(n,2), C(n,2)]."""

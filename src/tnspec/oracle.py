@@ -28,9 +28,10 @@ Two checks share no code with the table:
   reverse-lexicographic order (and whose count partition_count checks by
   Euler's pentagonal recurrence); the tests compare its first witness per
   eigenvalue with the table's;
-* the dense Cayley-graph adjacency matrix of T_n with a numeric
-  eigensolver — independent of all partition formulas, feasible only to
-  n = 6 (720 x 720), used to certify the formula-based path end to end.
+* cayley_spectrum, which multiplies real permutations by transpositions
+  and certifies the eigenvalues of T_n in exact integers, independent of
+  all partition formulas; it walks all n! permutations, so it stops at
+  n = 6.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     IntegerRoundingError,
@@ -58,7 +57,6 @@ ORACLE_LIMIT_ENV_VAR = "TNSPEC_ORACLE_LIMIT"
 # bitsets and builds in ~0.05 s; at 300 it would hold 186 MiB.
 TABLE_MAX_N = 200
 CAYLEY_MAX_N = 6
-ROUNDING_TOLERANCE = 1e-6
 PARTITION_COUNT_MAX_N = 10_000
 
 
@@ -119,7 +117,7 @@ class SpectrumSet:
     bits has bit e + C(n, 2) set for each eigenvalue e; values lists them
     ascending.  walk_back maps a value in the set to its witness, the first
     partition attaining it in reverse-lexicographic order; None means the
-    source knows no partitions (the Cayley matrix).
+    source knows no partitions (the Cayley operator).
     """
 
     n: int
@@ -334,49 +332,63 @@ def clear_caches() -> None:
         del _pcount_cache[1:]
 
 
-def cayley_adjacency(n: int) -> np.ndarray:
-    """Dense adjacency matrix of T_n on all n! permutations.
-
-    Vertices are permutations of range(n) in lexicographic order; two are
-    adjacent when they differ by one transposition (swap of two positions).
-    Hard-limited to n <= 6: n = 7 would need a 5040 x 5040 dense matrix
-    and is past the point of this sanity check's usefulness.
-    """
-    if n < 1:
-        raise InvalidArgumentError("Cayley graph needs n >= 1")
-    if n > CAYLEY_MAX_N:
-        raise SizeLimitError(f"dense Cayley computation is limited to n <= {CAYLEY_MAX_N}")
-    perms = list(itertools.permutations(range(n)))
-    index = {perm: i for i, perm in enumerate(perms)}
-    size = len(perms)
-    adjacency = np.zeros((size, size), dtype=np.float64)
-    for i, perm in enumerate(perms):
-        mutable = list(perm)
-        for a in range(n - 1):
-            for b in range(a + 1, n):
-                mutable[a], mutable[b] = mutable[b], mutable[a]
-                adjacency[i, index[tuple(mutable)]] = 1.0
-                mutable[a], mutable[b] = mutable[b], mutable[a]
-    return adjacency
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of a permutation of range(len(perm)), nonincreasing."""
+    lengths, seen = [], set()
+    for point in perm:
+        length = 0
+        while point not in seen:
+            seen.add(point)
+            point, length = perm[point], length + 1
+        lengths.append(length)
+    return tuple(sorted(filter(None, lengths), reverse=True))
 
 
 def cayley_spectrum(n: int) -> SpectrumSet:
-    """Distinct eigenvalues of the T_n adjacency matrix, as exact integers.
+    """Distinct eigenvalues of the T_n adjacency operator A, in exact
+    integers, from real permutations and no partition formula.
 
-    The numeric eigenvalues must each sit within 1e-6 of an integer;
-    anything worse raises IntegerRoundingError instead of silently
-    rounding.  No witnesses: the matrix knows nothing about partitions.
+    The transpositions are closed under conjugation, so A maps class
+    functions to class functions: one permutation per cycle type, times
+    each of the C(n, 2) transpositions, gives A on vectors of length p(n).
+    With top = C(n, 2), prod_{e=-top..top} (A - e) delta_id = 0 certifies
+    that every eigenvalue is an integer in [-top, top]; otherwise
+    IntegerRoundingError.  No witnesses: the operator knows no partitions.
     """
-    adjacency = cayley_adjacency(n)
-    numeric = np.linalg.eigvalsh(adjacency)
-    rounded = np.rint(numeric)
-    worst = float(np.max(np.abs(numeric - rounded))) if numeric.size else 0.0
-    if worst > ROUNDING_TOLERANCE:
-        raise IntegerRoundingError(
-            f"eigenvalue {worst:.3e} away from an integer (tolerance {ROUNDING_TOLERANCE})"
-        )
-    offset = choose2(n)
+    if n < 1:
+        raise InvalidArgumentError("Cayley graph needs n >= 1")
+    if n > CAYLEY_MAX_N:  # it walks all n! permutations
+        raise SizeLimitError(f"Cayley computation is limited to n <= {CAYLEY_MAX_N}")
+    # permutations() yields the identity first, so class 0 is the identity
+    representatives = {_cycle_type(g): g for g in itertools.permutations(range(n))}
+    index = {cycle_type: i for i, cycle_type in enumerate(representatives)}
+    # rows[i] lists the class of g * (a b) for the g of class i, per (a, b)
+    rows = [
+        [
+            index[_cycle_type(g[:a] + (g[b],) + g[a + 1 : b] + (g[a],) + g[b + 1 :])]
+            for a, b in itertools.combinations(range(n), 2)
+        ]
+        for g in representatives.values()
+    ]
+
+    def times_delta(factors: Iterable[int]) -> list[int]:
+        """prod_{e in factors} (A - e) delta_id."""
+        vector = [1] + [0] * (len(rows) - 1)
+        for e in factors:
+            vector = [
+                sum(vector[j] for j in row) - e * x for row, x in zip(rows, vector)
+            ]
+        return vector
+
+    top = choose2(n)
+    candidates = range(-top, top + 1)
+    if any(times_delta(candidates)):
+        raise IntegerRoundingError(f"T_{n} has an eigenvalue not in -{top}..{top}")
+    # T_n is vertex-transitive, so every eigenspace projector has diagonal
+    # mult / n! > 0: the identity entry of prod_{e' != e} (A - e') delta_id,
+    # mult(e) / n! * prod_{e' != e} (e - e'), is nonzero iff e is an eigenvalue.
     bits = 0
-    for value in {int(v) for v in rounded}:
-        bits |= 1 << (value + offset)
+    for e in candidates:
+        if times_delta(other for other in candidates if other != e)[0]:
+            bits |= 1 << (e + top)
     return SpectrumSet(n, bits)

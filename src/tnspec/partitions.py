@@ -44,6 +44,14 @@ from .errors import (
 MAX_FORMULA_N = 100_000
 
 
+def check_formula_n(n: int) -> None:
+    """Refuse n above MAX_FORMULA_N with FormulaOverflowError."""
+    if n > MAX_FORMULA_N:
+        raise FormulaOverflowError(
+            f"n = {n} exceeds the configured bound {MAX_FORMULA_N}"
+        )
+
+
 def choose2(m: int) -> int:
     """Binomial coefficient C(m, 2) = m(m-1)/2, the largest eigenvalue of T_m."""
     return m * (m - 1) // 2
@@ -136,10 +144,7 @@ def eigenvalue(p: Partition) -> int:
     a remainder would mean the formula was applied to corrupt data and
     raises ParityViolationError rather than rounding.
     """
-    if p.n > MAX_FORMULA_N:
-        raise FormulaOverflowError(
-            f"n = {p.n} exceeds the configured bound {MAX_FORMULA_N}"
-        )
+    check_formula_n(p.n)
     return eigenvalue_of_parts(p.parts)
 
 
@@ -183,10 +188,7 @@ def eigenvalue_via_head(first: int, tail: Partition, n: int) -> int:
         raise HeadTooSmallError(
             f"leading part {first} is smaller than tail first part {tail.first_part}"
         )
-    if n > MAX_FORMULA_N:
-        raise FormulaOverflowError(
-            f"n = {n} exceeds the configured bound {MAX_FORMULA_N}"
-        )
+    check_formula_n(n)
     return choose2(first) + eigenvalue(tail) - (n - first)
 
 
@@ -247,10 +249,7 @@ def compact_eigenvalue(compact: CompactPartition) -> int:
     opposite-parity offset), so the division is exact.
     """
     head = Partition(compact.head)
-    if compact.n > MAX_FORMULA_N:
-        raise FormulaOverflowError(
-            f"n = {compact.n} exceeds the configured bound {MAX_FORMULA_N}"
-        )
+    check_formula_n(compact.n)
     l = compact.head_length
     t2 = compact.twos
     t1 = compact.ones
@@ -261,19 +260,3 @@ def compact_eigenvalue(compact: CompactPartition) -> int:
         - _exact_half((2 * l + 2 * t2 + t1 + 1) * t1)
     )
     return eigenvalue(head) + tail_shift
-
-
-def compact_eigenvalue_ones(head: Partition, ones: int) -> int:
-    """Special case of ``compact_eigenvalue`` with no run of 2s.
-
-    For p = (head, 1 x ones) with l = len(head):
-
-        eig(p) = eig(head) - ones*(ones - 1)/2 - ones*l
-    """
-    compact = CompactPartition(head.parts, 0, ones)
-    if compact.n > MAX_FORMULA_N:
-        raise FormulaOverflowError(
-            f"n = {compact.n} exceeds the configured bound {MAX_FORMULA_N}"
-        )
-    deduction = _exact_half(ones * (ones - 1)) + ones * len(head)
-    return eigenvalue(head) - deduction

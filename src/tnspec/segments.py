@@ -43,7 +43,7 @@ from .errors import (
 )
 from .families import WitnessRecord, _dispatch_witness, make_witness
 from .oracle import EnumerationConstraints, resolve_oracle_limit, spectrum
-from .partitions import Partition, choose2, eigenvalue_via_head
+from .partitions import Partition, check_formula_n, choose2, eigenvalue_via_head
 
 LINEAR_MIN_N = 31
 QUADRATIC_MIN_N = 48
@@ -119,6 +119,7 @@ def _run_cover(
     targets: Iterable[int],
     witness_fn: Callable[[int], WitnessRecord],
 ) -> CoverageReport:
+    check_formula_n(n)  # one error for the whole cover, not one per target
     records: list[WitnessRecord] = []
     failures: list[tuple[int, str]] = []
     histogram: Counter[str] = Counter()
@@ -200,8 +201,7 @@ def quadratic_segment_bounds(n: int) -> SegmentBounds:
         raise BelowConstructiveRangeError(
             f"quadratic segment coverage starts at n = {QUADRATIC_MIN_N}"
         )
-    low_head = -(-n // 3) + 1
-    high_head = (2 * n + 1) // 3
+    low_head, high_head = head_range(n)
     y1 = choose2(low_head) - 2 * (n - low_head)
     y2 = choose2(high_head)
     return SegmentBounds(n, y1, y2)

@@ -25,7 +25,7 @@ from .families import (
     family_targets,
     group_bound_doubled,
 )
-from .oracle import cayley_spectrum, spectrum
+from .oracle import CAYLEY_MAX_N, cayley_spectrum, spectrum
 from .partitions import (
     Partition,
     choose2,
@@ -206,7 +206,7 @@ def cross_check_oracle(n_range: tuple[int, int] = (2, 45)) -> VerificationReport
     """Exhaustive spectra versus everything else.
 
     Per n: the spectrum is symmetric about zero with extremes at
-    +-C(n, 2); for n <= 6 the Cayley-matrix eigenvalues agree exactly;
+    +-C(n, 2); for n <= 6 the Cayley graph's exact eigenvalues agree;
     for n >= 31 every linear-segment witness value is in the spectrum;
     for n >= 48 every quadratic-segment witness value is in the spectrum.
     """
@@ -228,14 +228,14 @@ def cross_check_oracle(n_range: tuple[int, int] = (2, 45)) -> VerificationReport
                 f"values symmetric with extremes +-{top}",
                 "ok" if ok else f"extremes ({full.values[0]}, {full.values[-1]})",
             )
-            if n <= 6:
-                dense = cayley_spectrum(n)
-                ok = dense.values == full.values
+            if n <= CAYLEY_MAX_N:
+                cayley = cayley_spectrum(n)
+                ok = cayley.values == full.values
                 yield (
                     f"n={n} cayley",
                     ok,
                     "matrix spectrum equals partition spectrum",
-                    "ok" if ok else f"{dense.values} != {full.values}",
+                    "ok" if ok else f"{cayley.values} != {full.values}",
                 )
             covers = []
             if n >= LINEAR_MIN_N:
@@ -365,9 +365,10 @@ def run_checks(
     n_min: int | None = None,
     n_max: int | None = None,
 ) -> list[VerificationReport]:
-    """Run the named checks (all, by default) over clamped default ranges."""
+    """Run the named checks (all, by default) over clamped default ranges;
+    a clamped range that is empty raises before any check runs."""
     selected = list(check_ids) if check_ids is not None else list(DEFAULT_CHECKS)
-    reports = []
+    plan = []
     for check_id in selected:
         if check_id not in DEFAULT_CHECKS:
             raise InvalidArgumentError(
@@ -376,8 +377,11 @@ def run_checks(
         (default_low, default_high), runner = DEFAULT_CHECKS[check_id]
         low = default_low if n_min is None else max(default_low, n_min)
         high = default_high if n_max is None else min(default_high, n_max)
-        reports.append(runner((low, high)))
-    return reports
+        plan.append((check_id, low, high, runner))
+    empty = [f"{name} ({low}..{high})" for name, low, high, _ in plan if low > high]
+    if empty:
+        raise InvalidArgumentError(f"the n range leaves no n for: {', '.join(empty)}")
+    return [runner((low, high)) for _, low, high, runner in plan]
 
 
 def summary_dict(reports: Iterable[VerificationReport]) -> dict:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, artifacts."""
 
 import json
+import time
 
 import pytest
 
@@ -223,6 +224,15 @@ class TestCover:
         assert code == 0
         assert "covered=423" in out
 
+    @pytest.mark.parametrize("theorem", ["3", "5"])
+    def test_above_formula_bound_fails_fast(self, capsys, theorem):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, ["cover", "--theorem", theorem, "100001"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert "100000" in err
+
 
 class TestBounds:
     def test_text(self, capsys):
@@ -242,6 +252,12 @@ class TestVerify:
         )
         assert code == 0
         assert "family:Zero" in out
+
+    def test_empty_range(self, capsys):
+        code, out, err = invoke(capsys, ["verify", "--n-min", "100"])
+        assert code == 1
+        assert out == ""
+        assert "quadratic_segment (100..60)" in err
 
     def test_unknown_check(self, capsys):
         code, _, err = invoke(capsys, ["verify", "--checks", "bogus"])

@@ -1,16 +1,23 @@
-"""Enumeration oracle, partition counting, and the dense Cayley cross-check."""
+"""Enumeration oracle, partition counting, and the exact Cayley cross-check."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from tnspec import oracle, partitions
-from tnspec.errors import OracleLimitError, SizeLimitError, TnSpecError
+from tnspec.errors import (
+    IntegerRoundingError,
+    OracleLimitError,
+    SizeLimitError,
+    TnSpecError,
+)
 from tnspec.oracle import (
     EnumerationConstraints,
     _iter_parts,
-    cayley_adjacency,
     cayley_spectrum,
     clear_caches,
     contains,
@@ -33,7 +40,7 @@ from tnspec.verify import run_checks
         lambda: spectrum(6, EnumerationConstraints(max_first_part=0)),
         lambda: spectrum(6, EnumerationConstraints(max_length=3)),
         lambda: list(enumerate_partitions(6, EnumerationConstraints(max_length=0))),
-        lambda: cayley_adjacency(0),
+        lambda: cayley_spectrum(0),
         lambda: conjecture_scan(0),
         lambda: run_checks(["bogus"]),
     ],
@@ -45,7 +52,7 @@ from tnspec.verify import run_checks
         "spectrum(6, max_first_part=0)",
         "spectrum(6, max_length=3)",
         "enumerate_partitions(6, max_length=0)",
-        "cayley_adjacency(0)",
+        "cayley_spectrum(0)",
         "conjecture_scan(0)",
         "run_checks(bogus)",
     ],
@@ -168,7 +175,7 @@ class TestSpectrum:
         assert payload["witnesses"]["0"] == [2, 2]
 
     def test_no_witness_request(self):
-        # enumerated spectra always keep witnesses; only the Cayley matrix,
+        # enumerated spectra always keep witnesses; only the Cayley operator,
         # which knows no partitions, has none
         found = cayley_spectrum(5)
         assert found.witnesses is None
@@ -267,12 +274,35 @@ class TestCayley:
     def test_matches_partition_spectrum(self, n):
         assert cayley_spectrum(n).values == spectrum(n).values
 
-    def test_adjacency_is_regular(self):
-        adjacency = cayley_adjacency(4)
+    def test_adjacency_is_regular(self, cayley_matrix):
+        import numpy as np
+
+        adjacency = cayley_matrix(4)
         assert adjacency.shape == (24, 24)
         assert (adjacency.sum(axis=1) == choose2(4)).all()
         assert (adjacency == adjacency.T).all()
         assert (adjacency.diagonal() == 0).all()
+        # the float eigensolver agrees with the exact integer certificate
+        rounded = np.rint(np.linalg.eigvalsh(adjacency))
+        assert tuple(sorted({int(value) for value in rounded})) == cayley_spectrum(4).values
+
+    def test_uncertified_spectrum_raises(self, monkeypatch):
+        # with top one short of C(3, 2), the eigenvalues +-3 fall outside
+        # the candidates and the certificate prod (A - e) delta_id is nonzero
+        monkeypatch.setattr(oracle, "choose2", lambda m: m * (m - 1) // 2 - 1)
+        with pytest.raises(IntegerRoundingError):
+            cayley_spectrum(3)
+
+    def test_import_leaves_numpy_out(self):
+        # the exact operator needs no numpy, so tnspec must not load it
+        src = str(Path(oracle.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, tnspec; assert 'numpy' not in sys.modules"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):

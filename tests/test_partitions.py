@@ -21,7 +21,6 @@ from tnspec.partitions import (
     Partition,
     choose2,
     compact_eigenvalue,
-    compact_eigenvalue_ones,
     conjugate,
     eigenvalue,
     eigenvalue_via_head,
@@ -235,16 +234,18 @@ class TestCompactForm:
         )
 
     def test_ones_only_shortcut(self):
-        assert compact_eigenvalue_ones(Partition((17,)), 14) == 31
-        assert compact_eigenvalue_ones(Partition((10, 3)), 6) == 18
-        assert compact_eigenvalue_ones(Partition((5,)), 4) == 0
+        assert compact_eigenvalue(CompactPartition((17,), 0, 14)) == 31
+        assert compact_eigenvalue(CompactPartition((10, 3), 0, 6)) == 18
+        assert compact_eigenvalue(CompactPartition((5,), 0, 4)) == 0
 
     def test_ones_shortcut_matches_general_form(self):
+        # with no run of 2s: eig = eig(head) - C(ones, 2) - ones * len(head)
         for head in [(7,), (6, 4), (9, 3, 2)]:
             for ones in range(0, 8):
-                assert compact_eigenvalue_ones(
-                    Partition(head), ones
-                ) == compact_eigenvalue(CompactPartition(head, 0, ones))
+                shortcut = (
+                    eigenvalue(Partition(head)) - choose2(ones) - ones * len(head)
+                )
+                assert shortcut == compact_eigenvalue(CompactPartition(head, 0, ones))
 
     def test_randomized_agreement_with_direct_formula(self):
         # 10^4 random compact forms with expanded n <= 30

@@ -2,14 +2,16 @@
 
 import pytest
 
+from tnspec import segments
 from tnspec.errors import (
     BelowConstructiveRangeError,
+    FormulaOverflowError,
     TargetOutOfSegmentError,
     WitnessNotFoundError,
 )
 from tnspec.families import FAMILY_REGISTRY, FamilyId
 from tnspec.oracle import spectrum
-from tnspec.partitions import choose2, conjugate, eigenvalue
+from tnspec.partitions import MAX_FORMULA_N, choose2, conjugate, eigenvalue
 from tnspec.segments import (
     LINEAR_MIN_N,
     QUADRATIC_MIN_N,
@@ -240,6 +242,20 @@ class TestQuadraticCover:
             assert report.failures == (), n
             bounds = quadratic_segment_bounds(n)
             assert report.covered == bounds.y2 - bounds.y1 + 1
+
+
+class TestCoverSizeLimit:
+    def test_overflow_before_any_witness(self, monkeypatch):
+        # n above the formula bound fails once, for the whole cover, before
+        # a single witness is built
+        def never(n, k):
+            raise AssertionError(f"witness built for n = {n}, k = {k}")
+
+        monkeypatch.setattr(segments, "linear_segment_witness", never)
+        monkeypatch.setattr(segments, "quadratic_segment_witness", never)
+        for cover in (linear_segment_cover, quadratic_segment_cover):
+            with pytest.raises(FormulaOverflowError):
+                cover(MAX_FORMULA_N + 1)
 
 
 class TestConjectureScan:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tnspec import verify
+from tnspec.errors import InvalidArgumentError
 from tnspec.verify import (
     DEFAULT_CHECKS,
     MAX_FAILURE_SAMPLES,
@@ -117,6 +118,17 @@ class TestRunChecks:
         (report,) = run_checks(["linear_segment"], n_min=2, n_max=33)
         assert report.n_range == (31, 33)
         assert report.cases_run > 0
+
+    def test_empty_range_is_rejected(self):
+        # a range that clamps to nothing would report success on zero cases
+        with pytest.raises(InvalidArgumentError) as info:
+            run_checks(n_min=100)
+        for check_id in DEFAULT_CHECKS:
+            assert check_id in str(info.value)
+        with pytest.raises(InvalidArgumentError) as info:
+            run_checks(["linear_segment", "oracle_cross_check"], n_min=50, n_max=60)
+        assert "oracle_cross_check (50..45)" in str(info.value)
+        assert "linear_segment" not in str(info.value)
 
     def test_summary_and_table(self):
         reports = run_checks(
