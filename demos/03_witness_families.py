@@ -6,7 +6,7 @@ Coverage proofs need an explicit partition for every target eigenvalue, not
 an existence argument.  The library ships parametric families — each one a
 recipe turning (n, target) into a partition — organized by which stretch of
 targets they serve.  This script builds a few of each and checks them
-against the exhaustive oracle.
+against the oracle's spectrum table.
 """
 
 from tnspec import (

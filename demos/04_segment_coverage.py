@@ -33,6 +33,11 @@ for k in (0, -15, 31):
     record = linear_segment_witness(31, k)
     print(f"  k={k:3d}: {record.partition}   [{record.family}]")
 
+# Below n = 31 the families carry no guarantee, so the linear driver reads
+# the witness from the oracle's spectrum table instead.
+record = linear_segment_witness(18, 5)
+print(f"  n=18 k=5: {record.partition}   [{record.family}]")
+
 # A full cover of [-31, 31]: 63 targets, no failures, and no witness ever
 # needs a first part beyond (n+3)/2.
 report = linear_segment_cover(31)
@@ -50,8 +55,9 @@ for n1 in (17, 18, 31, 32):
     low, high = head_interval(48, n1)
     print(f"  head {n1:2d} brackets [{low}, {high}]")
 
-# A target deep inside the segment: peel off the bracketing head, delegate
-# the small residual to the linear driver (or the oracle).
+# A target deep inside the segment: peel off the bracketing head (the
+# smallest n1 with C(n1, 2) >= k, in closed form), then take the residual
+# from the linear driver, or from the oracle's table when it is below 31.
 for k in (90, 496, -90):
     record = quadratic_segment_witness(48, k)
     print(f"  k={k:4d}: {record.partition}   [{record.family}]")
@@ -68,8 +74,8 @@ print(f"n=48 segment: covered {report.covered}, "
       f"failures {len(report.failures)}")
 
 # Between the two proven segments sits an open strip (n, y1).  The scan
-# reports what an exhaustive search finds there — at n=48 every value in
-# [49, 73] is present, it just lacks a closed-form construction.
+# reports what the oracle's spectrum table holds there — at n=48 every
+# value in [49, 73] is present, it just lacks a closed-form construction.
 gap = conjecture_scan(48)
 print(f"gap scan n=48: window {gap.segment}, present {gap.covered}, "
       f"absent {len(gap.failures)}")

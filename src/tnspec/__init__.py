@@ -16,7 +16,6 @@ from .errors import (
     NoHeadFitsError,
     NonPositivePartError,
     NotNonincreasingError,
-    OracleLimitError,
     OutOfFamilyRangeError,
     ParityViolationError,
     PartitionError,
@@ -37,7 +36,6 @@ from .families import (
     zero_witness,
 )
 from .oracle import (
-    DEFAULT_ORACLE_LIMIT,
     EnumerationConstraints,
     SpectrumSet,
     cayley_spectrum,

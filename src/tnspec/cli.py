@@ -157,9 +157,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.theorem == 5:
         record = quadratic_segment_witness(args.n, args.k)
     else:
-        record = linear_segment_witness(
-            args.n, args.k, oracle_fallback=args.oracle_fallback
-        )
+        record = linear_segment_witness(args.n, args.k)
     payload, text, rows = _witness_output(record)
     _emit(args, payload, text, rows, f"witness_{args.n}_{args.k}")
     return 0
@@ -314,12 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         choices=(3, 5),
         default=3,
-        help="3: linear segment [-n, n]; 5: quadratic segment [y1, y2]",
-    )
-    p.add_argument(
-        "--oracle-fallback",
-        action="store_true",
-        help="for n below 31, search exhaustively instead of failing",
+        help="3: linear segment [-n, n], from the oracle below n = 31; "
+        "5: quadratic segment [y1, y2]",
     )
     p.set_defaults(func=_cmd_witness)
 

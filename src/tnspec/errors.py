@@ -61,7 +61,9 @@ class NoHeadFitsError(TnSpecError, ValueError):
 
 
 class WitnessNotFoundError(TnSpecError):
-    """Exhaustive search found no partition with the requested eigenvalue."""
+    """No partition with the requested eigenvalue was found: the oracle's
+    spectrum table lacks it (a genuine hole of a small spectrum), or no
+    admissible leading part leaves a residual that has it."""
 
 
 class InvalidArgumentError(TnSpecError, ValueError):
@@ -69,12 +71,9 @@ class InvalidArgumentError(TnSpecError, ValueError):
     check id)."""
 
 
-class OracleLimitError(TnSpecError, ValueError):
-    """n exceeds the oracle limit, or the limit setting itself is invalid."""
-
-
 class SizeLimitError(TnSpecError, ValueError):
-    """n exceeds a hard size limit (Cayley spectrum, partition count)."""
+    """n exceeds a hard size limit (oracle table, Cayley spectrum,
+    partition count)."""
 
 
 class IntegerRoundingError(TnSpecError, ArithmeticError):

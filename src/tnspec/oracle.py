@@ -19,8 +19,8 @@ taking at each step the largest head whose remainder still has the needed
 bit: that is the lexicographically largest partition with the eigenvalue,
 the first one in reverse-lexicographic order.  Witnesses are walked only
 when asked for.  The table's memory grows like N^4 (2.4 MiB at N = 100,
-37 MiB at N = 200, 186 MiB at N = 300), so the oracle limit may not
-exceed TABLE_MAX_N.
+37 MiB at N = 200, 186 MiB at N = 300), so the oracle answers only
+n <= TABLE_MAX_N = 200.
 
 Two checks share no code with the table:
 
@@ -37,7 +37,6 @@ Two checks share no code with the table:
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -46,56 +45,16 @@ from typing import Callable, Iterable, Iterator
 from .errors import (
     IntegerRoundingError,
     InvalidArgumentError,
-    OracleLimitError,
     SizeLimitError,
 )
 from .partitions import Partition, choose2
 
-DEFAULT_ORACLE_LIMIT = 50
-ORACLE_LIMIT_ENV_VAR = "TNSPEC_ORACLE_LIMIT"
-# Largest n the spectrum table may be grown to: at 200 it holds 37 MiB of
-# bitsets and builds in ~0.05 s; at 300 it would hold 186 MiB.
+# The oracle's one bound, on the table and the enumerator alike: at 200 the
+# table holds 37 MiB of bitsets and builds in ~0.05 s; at 300 it would hold
+# 186 MiB.
 TABLE_MAX_N = 200
 CAYLEY_MAX_N = 6
 PARTITION_COUNT_MAX_N = 10_000
-
-
-def resolve_oracle_limit() -> int:
-    """Effective oracle limit: the environment variable TNSPEC_ORACLE_LIMIT,
-    else the default (50).
-
-    This is the only place the setting is read.  A value that is not an
-    integer, is below 1 or is above TABLE_MAX_N raises OracleLimitError
-    naming the variable.
-    """
-    from_env = os.environ.get(ORACLE_LIMIT_ENV_VAR)
-    if from_env is None:
-        return DEFAULT_ORACLE_LIMIT
-    try:
-        limit = int(from_env)
-    except ValueError:
-        raise OracleLimitError(
-            f"{ORACLE_LIMIT_ENV_VAR} must be an integer, got {from_env!r}"
-        ) from None
-    if limit < 1:
-        raise OracleLimitError(
-            f"{ORACLE_LIMIT_ENV_VAR} must be at least 1, got {from_env!r}"
-        )
-    if limit > TABLE_MAX_N:
-        raise OracleLimitError(
-            f"{ORACLE_LIMIT_ENV_VAR} must be at most {TABLE_MAX_N}, got {from_env!r}"
-        )
-    return limit
-
-
-def _check_oracle_limit(n: int) -> None:
-    """Refuse oracle work above the effective oracle limit."""
-    limit = resolve_oracle_limit()
-    if n > limit:
-        raise OracleLimitError(
-            f"n = {n} exceeds the oracle limit {limit}; "
-            f"raise it via {ORACLE_LIMIT_ENV_VAR}"
-        )
 
 
 @dataclass(frozen=True)
@@ -216,14 +175,20 @@ def _iter_parts(
             yield (first,) + tail
 
 
-def _normalized_key(
+def _checked_caps(
     n: int, constraints: EnumerationConstraints | None
-) -> tuple[int, int, int | None]:
-    """(n, first-part cap, length cap) with the caps clipped to n.
+) -> tuple[int, int | None]:
+    """(first-part cap, length cap) clipped to n, once n and the caps pass.
 
-    A cap below 1 admits no partition of n >= 1, so it is rejected rather
-    than answered with an empty result.
+    n must lie in 1..TABLE_MAX_N; above it SizeLimitError.  The bound also
+    keeps the enumerator's recursion, n levels deep, far below Python's
+    limit.  A cap below 1 admits no partition of n >= 1, so it is rejected
+    rather than answered with an empty result.
     """
+    if n < 1:
+        raise InvalidArgumentError(f"the oracle needs n >= 1, got {n}")
+    if n > TABLE_MAX_N:
+        raise SizeLimitError(f"n = {n} exceeds the oracle bound {TABLE_MAX_N}")
     max_first = n
     max_length = None
     if constraints is not None:
@@ -235,7 +200,7 @@ def _normalized_key(
             max_first = min(constraints.max_first_part, n)
         if constraints.max_length is not None:
             max_length = min(constraints.max_length, n)
-    return n, max_first, max_length
+    return max_first, max_length
 
 
 def enumerate_partitions(
@@ -244,13 +209,10 @@ def enumerate_partitions(
     """Yield every partition of n (within constraints), largest-first.
 
     Order is reverse-lexicographic: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
-    Enumeration is refused above the oracle limit — the point of the limit
-    is to keep "exhaustive" honest about what it can exhaust.
+    It walks all p(n) partitions, so it serves as the table's independent
+    check on small n; like the table, it refuses n > TABLE_MAX_N.
     """
-    if n < 1:
-        raise InvalidArgumentError("enumeration needs n >= 1")
-    _check_oracle_limit(n)
-    _, max_first, max_length = _normalized_key(n, constraints)
+    max_first, max_length = _checked_caps(n, constraints)
     for parts in _iter_parts(n, max_first, max_length):
         yield Partition(parts)
 
@@ -297,14 +259,12 @@ def spectrum(
     Read from the shared table, which is grown to n on first use; values
     and witnesses are derived from it only when asked for.  The witness of
     a value is the first partition attaining it in reverse-lexicographic
-    order, the one enumerate_partitions would reach first.  A length cap
-    below n raises InvalidArgumentError: the table has no length axis, and
-    only enumerate_partitions supports one.
+    order, the one enumerate_partitions would reach first.  n above
+    TABLE_MAX_N raises SizeLimitError.  A length cap below n raises
+    InvalidArgumentError: the table has no length axis, and only
+    enumerate_partitions supports one.
     """
-    if n < 1:
-        raise InvalidArgumentError("spectrum needs n >= 1")
-    _check_oracle_limit(n)
-    _, max_first, max_length = _normalized_key(n, constraints)
+    max_first, max_length = _checked_caps(n, constraints)
     if max_length is not None and max_length < n:
         raise InvalidArgumentError(
             "length caps are supported by enumerate_partitions only"

@@ -116,11 +116,13 @@ def make_partition(parts: Iterable[int]) -> Partition:
     """Validate user input as a nonempty partition.
 
     Parts must already be nonincreasing and positive; nothing is sorted or
-    dropped on the caller's behalf.
+    dropped on the caller's behalf.  A sum above MAX_FORMULA_N raises
+    FormulaOverflowError, so no CLI command builds an oversized partition.
     """
     partition = Partition(tuple(parts))
     if not partition.parts:
         raise PartitionError("a partition needs at least one part")
+    check_formula_n(partition.n)
     return partition
 
 

@@ -6,7 +6,8 @@ Two constructive results are implemented:
   eigenvalue of T_n.  A nonnegative target goes to the first registry
   family whose target set contains it, in the single priority order
   declared with the registry in families.py; negative targets take the
-  conjugate of the witness for -k.
+  conjugate of the witness for -k.  Below n = 31 a single witness is read
+  from the oracle's spectrum table instead.
 
 * quadratic segment — for n >= 48, every integer k with y1 <= |k| <= y2
   is an eigenvalue, where
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Iterable
 
 from .errors import (
@@ -42,7 +44,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .families import WitnessRecord, _dispatch_witness, make_witness
-from .oracle import EnumerationConstraints, resolve_oracle_limit, spectrum
+from .oracle import EnumerationConstraints, spectrum
 from .partitions import Partition, check_formula_n, choose2, eigenvalue_via_head
 
 LINEAR_MIN_N = 31
@@ -144,27 +146,19 @@ def _run_cover(
     )
 
 
-def linear_segment_witness(
-    n: int,
-    k: int,
-    *,
-    oracle_fallback: bool = False,
-) -> WitnessRecord:
+def linear_segment_witness(n: int, k: int) -> WitnessRecord:
     """A verified partition of n with eigenvalue k, for any |k| <= n.
 
     Constructive for n >= 31.  Below that the closed-form families carry
-    no guarantee; with oracle_fallback=True the witness is instead looked
-    up in the oracle's spectrum (subject to the oracle limit), and
-    absence is reported as WitnessNotFoundError.
+    no guarantee, so the witness is read from the oracle's spectrum table
+    instead, with chain ("oracle",); a genuine hole of the small spectrum
+    (T_18 misses +-4) raises WitnessNotFoundError.
     """
+    if abs(k) > n:
+        raise TargetOutOfSegmentError(
+            f"target {k} is outside the linear segment [-n, n] at n = {n}"
+        )
     if n < LINEAR_MIN_N:
-        if not oracle_fallback:
-            raise BelowConstructiveRangeError(
-                f"linear segment coverage is constructive for n >= {LINEAR_MIN_N}; "
-                f"enable the oracle fallback to search n = {n} exhaustively"
-            )
-        if abs(k) > n:
-            raise TargetOutOfSegmentError(f"|{k}| exceeds n = {n}")
         witness = spectrum(n).witness(k)
         if witness is None:
             raise WitnessNotFoundError(
@@ -172,10 +166,6 @@ def linear_segment_witness(
                 f"[-n, n] genuinely has holes below n = {LINEAR_MIN_N})"
             )
         return make_witness(n, k, witness, ("oracle",))
-    if abs(k) > n:
-        raise TargetOutOfSegmentError(
-            f"target {k} is outside the linear segment [-{n}, {n}]"
-        )
     if k < 0:
         return linear_segment_witness(n, -k).conjugated()
     return _dispatch_witness(n, k)
@@ -268,13 +258,13 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     if k < 0:
         return quadratic_segment_witness(n, -k).conjugated()
     low_head, high_head = head_range(n)
-    first = None
-    for candidate in range(low_head, high_head + 1):
-        interval_low, interval_high = head_interval(n, candidate)
-        if interval_low <= k <= interval_high:
-            first = candidate
-            break
-    if first is None:
+    # smallest f with C(f, 2) >= k; both ends of head_interval grow with f,
+    # so the smallest admissible head at or above it is the only candidate
+    first = (isqrt(8 * k + 1) + 1) // 2
+    if choose2(first) < k:
+        first += 1
+    first = max(low_head, first)
+    if first > high_head or head_interval(n, first)[0] > k:
         raise NoHeadFitsError(
             f"no leading part in [{low_head}, {high_head}] brackets target {k} "
             f"at n = {n} (head intervals should tile [y1, y2])"
@@ -289,13 +279,12 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
         return _assemble(n, k, first, tail, ("oracle",))
     # Rescue: other leading parts reach k with a residual target outside
     # [-(n-n1), n-n1] but well inside the residual spectrum's actual range.
-    enumerable = resolve_oracle_limit()
     for candidate in range(high_head, low_head - 1, -1):
         if candidate == first:
             continue
         other_n = n - candidate
         other_target = k - choose2(candidate) + other_n
-        if other_n > enumerable or abs(other_target) > choose2(other_n):
+        if abs(other_target) > choose2(other_n):
             continue
         tail = _oracle_tail(other_n, candidate, other_target)
         if tail is not None:

@@ -203,12 +203,14 @@ def verify_first_part_bounds(
 
 
 def cross_check_oracle(n_range: tuple[int, int] = (2, 45)) -> VerificationReport:
-    """Exhaustive spectra versus everything else.
+    """The oracle's spectra versus everything else.
 
     Per n: the spectrum is symmetric about zero with extremes at
     +-C(n, 2); for n <= 6 the Cayley graph's exact eigenvalues agree;
     for n >= 31 every linear-segment witness value is in the spectrum;
     for n >= 48 every quadratic-segment witness value is in the spectrum.
+    The oracle's table stops at TABLE_MAX_N = 200, so an n above it is
+    one failed case.
     """
     low, high = n_range
 
@@ -217,7 +219,7 @@ def cross_check_oracle(n_range: tuple[int, int] = (2, 45)) -> VerificationReport
             try:
                 full = spectrum(n)
             except TnSpecError as exc:
-                yield f"n={n}", False, "spectrum enumerable", str(exc)
+                yield f"n={n}", False, "spectrum within the oracle bound", str(exc)
                 continue
             negated = tuple(sorted(-value for value in full.values))
             top = choose2(n)

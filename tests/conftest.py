@@ -1,15 +1,8 @@
-"""Shared fixtures: every test sees the default oracle limit, and the
-dense float Cayley matrix is built in one place."""
+"""Shared fixture: the dense float Cayley matrix is built in one place."""
 
 import itertools
 
 import pytest
-
-
-@pytest.fixture(autouse=True)
-def _default_oracle_limit(monkeypatch):
-    # a TNSPEC_ORACLE_LIMIT set in the calling shell must not change results
-    monkeypatch.delenv("TNSPEC_ORACLE_LIMIT", raising=False)
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from tnspec.cli import run
-from tnspec.errors import OracleLimitError, TnSpecError
 from tnspec.oracle import clear_caches, enumerate_partitions, spectrum
 
 
@@ -52,6 +51,15 @@ class TestConj:
         assert code == 0
         assert out == "8 6 3 3 1\n"
 
+    def test_size_bound(self, capsys):
+        # the same bound as eig: no 10^5-part conjugate is ever built
+        for command in ("conj", "eig"):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, [command, "100001"])
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (1, ""), command
+            assert "100000" in err, command
+
 
 class TestSpectrum:
     def test_text(self, capsys):
@@ -87,48 +95,45 @@ class TestSpectrum:
         assert (code, out) == (2, "")
         assert "--max-length" in err
 
-    def test_limit_flag(self, capsys, monkeypatch):
-        code, _, err = invoke(capsys, ["spectrum", "55"])
-        assert code == 1
-        assert "limit" in err
-        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "51")
-        code, out, _ = invoke(capsys, ["spectrum", "51"])
+    def test_limit_flag(self, capsys):
+        # TABLE_MAX_N = 200 is the oracle's one bound
+        code, out, _ = invoke(capsys, ["spectrum", "200"])
         assert code == 0
-        assert out.split()[-1] == "1275"
+        assert out.split()[-1] == "19900"
+        code, out, err = invoke(capsys, ["spectrum", "201"])
+        assert (code, out) == (1, "")
+        assert "200" in err
 
     def test_limit_env_var(self, capsys, monkeypatch):
+        # the package reads no environment variable
+        _, expected, _ = invoke(capsys, ["spectrum", "25"])
         monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "20")
-        code, _, err = invoke(capsys, ["spectrum", "25"])
-        assert code == 1
-        assert "limit" in err
+        code, out, err = invoke(capsys, ["spectrum", "25"])
+        assert (code, out, err) == (0, expected, "")
 
     def test_malformed_limit_env_var(self, capsys, monkeypatch):
+        _, expected, _ = invoke(capsys, ["spectrum", "10"])
         for value in ("abc", "0", "-3", "201"):
             monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", value)
-            for call in (lambda: spectrum(10), lambda: list(enumerate_partitions(10))):
-                with pytest.raises(OracleLimitError, match="TNSPEC_ORACLE_LIMIT") as info:
-                    call()
-                assert isinstance(info.value, TnSpecError)
+            assert " ".join(map(str, spectrum(10).values)) + "\n" == expected
+            assert len(list(enumerate_partitions(10))) == 42
             code, out, err = invoke(capsys, ["spectrum", "10"])
-            assert code == 1
-            assert out == ""
-            assert "TNSPEC_ORACLE_LIMIT" in err and repr(value) in err
+            assert (code, out, err) == (0, expected, "")
 
 
 class TestOracleLimit:
-    def test_env_var_is_the_only_setting(self, capsys, monkeypatch):
-        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "5")
-        for argv in (
-            ["spectrum", "6"],
-            ["contains", "6", "3"],
-            ["conjecture", "6"],
-            ["witness", "--theorem", "5", "48", "413"],
-        ):
-            code, out, err = invoke(capsys, argv)
-            assert (code, out) == (1, ""), argv
-            assert "limit" in err, argv
-        code, _, _ = invoke(capsys, ["verify", "--checks", "oracle_cross_check"])
-        assert code == 1
+    def test_no_setting_moves_the_bound(self, capsys, monkeypatch):
+        for value in ("5", "abc"):
+            monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", value)
+            for argv in (
+                ["spectrum", "6"],
+                ["contains", "6", "3"],
+                ["conjecture", "6"],
+                ["witness", "--theorem", "5", "48", "413"],
+                ["verify", "--checks", "oracle_cross_check"],
+            ):
+                code, _, err = invoke(capsys, argv)
+                assert (code, err) == (0, ""), (value, argv)
         for argv in (
             ["eig", "4", "1"],
             ["conj", "4", "1"],
@@ -141,9 +146,10 @@ class TestOracleLimit:
             ["conjecture", "6"],
             ["cayley", "3"],
         ):
-            code, _, err = invoke(capsys, [*argv, "--oracle-limit", "5"])
-            assert code == 2, argv
-            assert "--oracle-limit" in err, argv
+            for extra in (["--oracle-limit", "5"], ["--oracle-fallback"]):
+                code, _, err = invoke(capsys, [*argv, *extra])
+                assert code == 2, (argv, extra)
+                assert extra[0] in err, (argv, extra)
 
 
 class TestContains:
@@ -192,12 +198,14 @@ class TestWitness:
         assert payload["verified"] is True
 
     def test_below_range_without_fallback(self, capsys):
-        code, out, err = invoke(capsys, ["witness", "30", "5"])
-        assert code == 1
-        assert "oracle fallback" in err
+        # below n = 31 the oracle answers, and T_18 genuinely misses 4
+        code, out, err = invoke(capsys, ["witness", "18", "4"])
+        assert (code, out) == (1, "")
+        assert "no partition of 18 has eigenvalue 4" in err
 
     def test_below_range_with_fallback(self, capsys):
-        code, out, _ = invoke(capsys, ["witness", "30", "5", "--oracle-fallback"])
+        # no flag needed: the driver picks the oracle from n alone
+        code, out, _ = invoke(capsys, ["witness", "30", "5"])
         assert code == 0
         assert "family: oracle" in out
 

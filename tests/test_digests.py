@@ -1,0 +1,58 @@
+"""Golden digests: the stdout of six CLI commands, byte for byte.
+
+Each digest is the sha256 of the concatenated stdout of `cli.run` over one
+range of n.  A change that alters any of these outputs must say so and
+record the new digest here.  The two `cover` digests (N = 31..300, and
+`--theorem 5` for N = 48..300) take 10 s and 150 s, so they are checked by
+hand, not here.
+"""
+
+import hashlib
+
+import pytest
+
+from tnspec.cli import run
+
+GOLDEN = [
+    (
+        ["verify", "--format", "csv"],
+        [None],
+        "60c62bf1b19a413710287e5262b396abe3d0b915366079ec955388f6146e0a3a",
+    ),
+    (
+        ["conjecture", "{n}", "--format", "json"],
+        range(31, 51),
+        "10a484d8f6642a6655e5634328eb6e19af8d5c0505dfb5c24ace382f4764aa02",
+    ),
+    (
+        ["spectrum", "{n}", "--witnesses", "--format", "json"],
+        range(1, 46),
+        "942fe2dc7e352f239b5e81fd52d1a541315a7b50e805f4dd74271669515e0fbf",
+    ),
+    (
+        ["spectrum", "{n}", "--format", "csv"],
+        range(1, 46),
+        "36e3463588669d401b86d4967438d9d203bd1d6b96883cf255b240ba62639663",
+    ),
+    (
+        ["cayley", "{n}", "--format", "json"],
+        range(1, 7),
+        "7b524a5ab24cbc40a61135881b343ddabcdb251b74b1fe8ecba865de964997ce",
+    ),
+    (
+        ["cayley", "{n}"],
+        range(1, 7),
+        "dfa3b051c9ffe3aaaab7100b504b027acc5b11bb509513dede1cae48d385ac1e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, ns, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_stdout_digest(capsys, argv, ns, digest):
+    out = []
+    for n in ns:
+        assert run([arg.format(n=n) for arg in argv]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest

@@ -11,7 +11,6 @@ import pytest
 from tnspec import oracle, partitions
 from tnspec.errors import (
     IntegerRoundingError,
-    OracleLimitError,
     SizeLimitError,
     TnSpecError,
 )
@@ -36,7 +35,9 @@ from tnspec.verify import run_checks
         lambda: partition_count(-1),
         lambda: partition_count(10_001),
         lambda: list(enumerate_partitions(0)),
+        lambda: list(enumerate_partitions(201)),
         lambda: spectrum(0),
+        lambda: spectrum(201),
         lambda: spectrum(6, EnumerationConstraints(max_first_part=0)),
         lambda: spectrum(6, EnumerationConstraints(max_length=3)),
         lambda: list(enumerate_partitions(6, EnumerationConstraints(max_length=0))),
@@ -48,7 +49,9 @@ from tnspec.verify import run_checks
         "partition_count(-1)",
         "partition_count(10_001)",
         "enumerate_partitions(0)",
+        "enumerate_partitions(201)",
         "spectrum(0)",
+        "spectrum(201)",
         "spectrum(6, max_first_part=0)",
         "spectrum(6, max_length=3)",
         "enumerate_partitions(6, max_length=0)",
@@ -95,19 +98,19 @@ class TestEnumeration:
         for n in range(1, 41):
             assert sum(1 for _ in enumerate_partitions(n)) == partition_count(n)
 
-    def test_limit_enforced(self, monkeypatch):
-        with pytest.raises(OracleLimitError):
-            list(enumerate_partitions(51))
-        # the environment variable raises the ceiling
-        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "51")
-        assert sum(1 for _ in enumerate_partitions(51)) == partition_count(51)
+    def test_limit_enforced(self):
+        # TABLE_MAX_N bounds the enumerator and the table alike
+        assert next(enumerate_partitions(oracle.TABLE_MAX_N)).parts == (200,)
+        assert spectrum(oracle.TABLE_MAX_N).values[-1] == choose2(200)
+        for call in (lambda: list(enumerate_partitions(201)), lambda: spectrum(201)):
+            with pytest.raises(SizeLimitError, match="200"):
+                call()
 
     def test_env_var_limit(self, monkeypatch):
+        # TNSPEC_ORACLE_LIMIT is no longer read
         monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "10")
-        with pytest.raises(OracleLimitError):
-            list(enumerate_partitions(11))
-        monkeypatch.setenv("TNSPEC_ORACLE_LIMIT", "12")
-        assert sum(1 for _ in enumerate_partitions(12)) == partition_count(12)
+        assert sum(1 for _ in enumerate_partitions(11)) == partition_count(11)
+        assert spectrum(11).values[-1] == choose2(11)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

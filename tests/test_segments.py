@@ -6,11 +6,12 @@ from tnspec import segments
 from tnspec.errors import (
     BelowConstructiveRangeError,
     FormulaOverflowError,
+    NoHeadFitsError,
     TargetOutOfSegmentError,
     WitnessNotFoundError,
 )
 from tnspec.families import FAMILY_REGISTRY, FamilyId
-from tnspec.oracle import spectrum
+from tnspec.oracle import EnumerationConstraints, spectrum
 from tnspec.partitions import MAX_FORMULA_N, choose2, conjugate, eigenvalue
 from tnspec.segments import (
     LINEAR_MIN_N,
@@ -97,18 +98,23 @@ class TestLinearWitness:
             assert neg.partition.parts == conjugate(pos.partition).parts
 
     def test_below_constructive_range(self):
+        # the cover stays constructive-only; single witnesses use the oracle
         with pytest.raises(BelowConstructiveRangeError):
-            linear_segment_witness(30, 5)
+            linear_segment_cover(30)
+        assert linear_segment_witness(30, 5).family_chain == ("oracle",)
 
     def test_below_range_with_fallback_uses_oracle(self):
-        record = linear_segment_witness(18, 5, oracle_fallback=True)
+        record = linear_segment_witness(18, 5)
         assert eigenvalue(record.partition) == 5
         assert record.family_chain == ("oracle",)
+        assert linear_segment_witness(18, -5).family_chain == ("oracle",)
 
     def test_fallback_respects_real_spectral_holes(self):
         # T_18 has no eigenvalue 4, so even the oracle cannot help
         with pytest.raises(WitnessNotFoundError):
-            linear_segment_witness(18, 4, oracle_fallback=True)
+            linear_segment_witness(18, 4)
+        with pytest.raises(TargetOutOfSegmentError):
+            linear_segment_witness(18, 19)
 
     def test_out_of_segment(self):
         with pytest.raises(TargetOutOfSegmentError):
@@ -180,6 +186,32 @@ class TestHeadBrackets:
             bounds = quadratic_segment_bounds(n)
             assert head_interval(n, low_head)[0] <= bounds.y1
             assert head_interval(n, high_head)[1] == bounds.y2
+
+    def test_closed_form_head_is_the_first_bracketing_head(self):
+        # the driver picks its head in closed form; the scan it replaced is
+        # the reference, and only a rescue leaves the head the scan finds
+        for n in (48, 49, 60, 93, 94, 120):
+            low_head, high_head = head_range(n)
+            bounds = quadratic_segment_bounds(n)
+            for k in range(bounds.y1, bounds.y2 + 1):
+                scan = next(
+                    first
+                    for first in range(low_head, high_head + 1)
+                    if head_interval(n, first)[0] <= k <= head_interval(n, first)[1]
+                )
+                record = quadratic_segment_witness(n, k)
+                if record.family_chain[0] == f"head={scan}":
+                    continue
+                residual_n = n - scan
+                cap = EnumerationConstraints(max_first_part=scan)
+                assert residual_n < LINEAR_MIN_N, (n, k)
+                assert record.family_chain[1:] == ("oracle",), (n, k)
+                assert k - choose2(scan) + residual_n not in spectrum(residual_n, cap)
+
+    def test_no_head_fits_is_checked(self, monkeypatch):
+        monkeypatch.setattr(segments, "head_interval", lambda n, first: (10**9, 10**9))
+        with pytest.raises(NoHeadFitsError):
+            quadratic_segment_witness(48, 90)
 
 
 class TestQuadraticWitness:
