@@ -197,7 +197,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    check_ids = args.checks.split(",") if args.checks else None
+    check_ids = args.checks.split(",") if args.checks is not None else None
     reports = run_checks(check_ids, args.n_min, args.n_max)
     summary = summary_dict(reports)
     rows = [["check_id", "n_low", "n_high", "cases_run", "cases_failed"]]

@@ -17,11 +17,13 @@ target.  Some target sets overlap, so the linear driver takes the first
 family, in one fixed priority order declared next to the registry rows,
 whose targets contain k; for n >= 31 that tiles [0, n].
 
-Every constructor re-checks its output against the eigenvalue formula
-before returning, so a range-bookkeeping bug surfaces as an error rather
-than a wrong witness.  For the S2/A1/A2 rows the head eigenvalue and the
-tail deduction are also known as quadratic polynomials in (n, target);
-the verifier checks those too (see verify.verify_family).
+Every builder checks the run-length evaluation of its shape against the
+target, which costs O(head).  The flat eigenvalue formula re-checks each
+witness once, in make_witness, where a public driver returns it; so a
+range-bookkeeping bug surfaces as an error rather than a wrong witness.
+For the S2/A1/A2 rows the head eigenvalue and the tail deduction are also
+known as quadratic polynomials in (n, target); the verifier checks those
+too (see verify.verify_family).
 """
 
 from __future__ import annotations
@@ -90,9 +92,11 @@ class WitnessRecord:
 
     family_chain records how it was produced, outermost step last, e.g.
     ("S1_mid_odd",) or ("S1_mid_odd", "conjugate") or ("head=17",
-    "S1_mid_odd").  ``verified`` is always True for records built through
-    make_witness; it is carried explicitly so serialized records are
-    self-describing.
+    "S1_mid_odd").  Records are built only by make_witness, which checks the
+    whole partition with the flat formula; the pieces a driver assembles
+    along the way are plain (partition, chain) pairs and are not checked
+    on their own.  ``verified`` is always True; it is carried explicitly so
+    serialized records are self-describing.
     """
 
     n: int
@@ -639,22 +643,23 @@ def build_family(family: FamilyId, n: int, lam: int) -> CompactPartition:
     return FAMILY_REGISTRY[family].build(n, lam)
 
 
-def _family_record(family: FamilyId, n: int, lam: int) -> WitnessRecord:
+def _family_partition(family: FamilyId, n: int, lam: int) -> Partition:
+    """The family's expanded witness for lam; the caller verifies it."""
     compact = build_family(family, n, lam)
-    record = make_witness(n, lam, expand(compact), (family.value,))
-    # consistency between the run-length evaluation and the flat formula
+    # the run-length evaluation must agree with the target (O(head) work)
     if compact_eigenvalue(compact) != lam:
         raise WitnessVerificationError(
             f"{family.value}: compact evaluation disagrees at n={n}, target={lam}"
         )
-    return record
+    return expand(compact)
 
 
-def _dispatch_witness(n: int, lam: int) -> WitnessRecord:
-    """Witness from the first family in dispatch order that covers lam."""
+def _dispatch_witness(n: int, lam: int) -> tuple[Partition, tuple[str, ...]]:
+    """(partition, chain) from the first family in dispatch order that
+    covers lam, not yet verified."""
     for family in _DISPATCH_BY_PARITY[n % 2]:
         if lam in family_targets(family, n):
-            return _family_record(family, n, lam)
+            return _family_partition(family, n, lam), (family.value,)
     raise OutOfFamilyRangeError(f"no family covers target {lam} at n = {n}")
 
 
@@ -665,7 +670,8 @@ def zero_witness(n: int) -> Partition:
     """
     if not family_targets(FamilyId.ZERO, n):
         raise OutOfFamilyRangeError(f"no zero eigenvalue witness at n = {n}")
-    return _family_record(FamilyId.ZERO, n, 0).partition
+    partition = _family_partition(FamilyId.ZERO, n, 0)
+    return make_witness(n, 0, partition, (FamilyId.ZERO.value,)).partition
 
 
 def group_bound_doubled(group: str, n: int) -> int:

@@ -22,6 +22,11 @@ Two constructive results are implemented:
   residual partitions otherwise.  Consecutive head intervals overlap
   throughout the head range, so a target with no head is a bug, not a gap.
 
+Inside the drivers a witness is a plain (partition, chain) pair.  Each
+public driver checks the one partition it returns, once, with make_witness
+(the flat eigenvalue formula); a linear tail is not checked on its own
+before a head is put in front of it.
+
 The gap between the two segments, [n+1, y1-1], is conjectured but not
 proven to be covered; conjecture_scan reports oracle membership for each
 value in it without asserting anything.
@@ -45,7 +50,7 @@ from .errors import (
 )
 from .families import WitnessRecord, _dispatch_witness, make_witness
 from .oracle import EnumerationConstraints, spectrum
-from .partitions import Partition, check_formula_n, choose2, eigenvalue_via_head
+from .partitions import Partition, check_formula_n, choose2, conjugate
 
 LINEAR_MIN_N = 31
 QUADRATIC_MIN_N = 48
@@ -158,6 +163,11 @@ def linear_segment_witness(n: int, k: int) -> WitnessRecord:
         raise TargetOutOfSegmentError(
             f"target {k} is outside the linear segment [-n, n] at n = {n}"
         )
+    return make_witness(n, k, *_linear_parts(n, k))
+
+
+def _linear_parts(n: int, k: int) -> tuple[Partition, tuple[str, ...]]:
+    """(partition, chain) for |k| <= n, not yet verified."""
     if n < LINEAR_MIN_N:
         witness = spectrum(n).witness(k)
         if witness is None:
@@ -165,9 +175,10 @@ def linear_segment_witness(n: int, k: int) -> WitnessRecord:
                 f"no partition of {n} has eigenvalue {k} (so the segment "
                 f"[-n, n] genuinely has holes below n = {LINEAR_MIN_N})"
             )
-        return make_witness(n, k, witness, ("oracle",))
+        return witness, ("oracle",)
     if k < 0:
-        return linear_segment_witness(n, -k).conjugated()
+        partition, chain = _linear_parts(n, -k)
+        return conjugate(partition), chain + ("conjugate",)
     return _dispatch_witness(n, k)
 
 
@@ -209,28 +220,13 @@ def head_interval(n: int, first: int) -> tuple[int, int]:
     return choose2(first) - 2 * (n - first), choose2(first)
 
 
-def _oracle_tail(
-    residual_n: int, first: int, residual_target: int
-) -> Partition | None:
-    """Residual witness from the oracle, honoring the first-part cap."""
-    constraints = (
-        EnumerationConstraints(max_first_part=first) if first < residual_n else None
-    )
-    return spectrum(residual_n, constraints).witness(residual_target)
-
-
-def _assemble(n: int, k: int, first: int, tail: Partition, tail_chain: tuple[str, ...]) -> WitnessRecord:
+def _joined(first: int, tail: Partition) -> Partition:
+    """The partition (first, *tail)."""
     if tail.first_part > first:
         raise HeadTooSmallError(
             f"residual witness {tail} starts above the leading part {first}"
         )
-    # consistency: head-decomposition arithmetic must reproduce the target
-    if eigenvalue_via_head(first, tail, n) != k:
-        raise WitnessNotFoundError(
-            f"head decomposition arithmetic failed for n = {n}, k = {k}"
-        )
-    partition = Partition((first,) + tail.parts)
-    return make_witness(n, k, partition, (f"head={first}",) + tail_chain)
+    return Partition((first,) + tail.parts)
 
 
 def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
@@ -272,23 +268,23 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     residual_n = n - first
     residual_target = k - choose2(first) + residual_n
     if residual_n >= LINEAR_MIN_N:
-        tail_record = linear_segment_witness(residual_n, residual_target)
-        return _assemble(n, k, first, tail_record.partition, tail_record.family_chain)
-    tail = _oracle_tail(residual_n, first, residual_target)
-    if tail is not None:
-        return _assemble(n, k, first, tail, ("oracle",))
-    # Rescue: other leading parts reach k with a residual target outside
-    # [-(n-n1), n-n1] but well inside the residual spectrum's actual range.
-    for candidate in range(high_head, low_head - 1, -1):
-        if candidate == first:
-            continue
+        tail, chain = _linear_parts(residual_n, residual_target)
+        return make_witness(n, k, _joined(first, tail), (f"head={first}",) + chain)
+    # The bracketing head first.  Then the rescue: other leading parts reach
+    # k with a residual target outside [-(n-n1), n-n1] but well inside the
+    # residual spectrum's actual range.
+    rescue = (head for head in range(high_head, low_head - 1, -1) if head != first)
+    for candidate in (first, *rescue):
         other_n = n - candidate
         other_target = k - choose2(candidate) + other_n
         if abs(other_target) > choose2(other_n):
             continue
-        tail = _oracle_tail(other_n, candidate, other_target)
+        cap = EnumerationConstraints(max_first_part=candidate)
+        tail = spectrum(other_n, cap).witness(other_target)
         if tail is not None:
-            return _assemble(n, k, candidate, tail, ("oracle",))
+            return make_witness(
+                n, k, _joined(candidate, tail), (f"head={candidate}", "oracle")
+            )
     raise WitnessNotFoundError(
         f"no admissible leading part yields a residual witness for "
         f"n = {n}, k = {k} (bracketing part {first} lacked eigenvalue "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidArgumentError, TnSpecError
@@ -124,9 +125,7 @@ def _guarded(
             yield inputs, not found, expected, "; ".join(found) or "ok"
 
 
-def verify_family(
-    family: FamilyId, n_range: tuple[int, int] = (1, 80)
-) -> VerificationReport:
+def verify_family(family: FamilyId, n_range: tuple[int, int]) -> VerificationReport:
     """Rebuild every (n, target) instance of one family and re-check it.
 
     Per case: the expansion is a partition of n; the eigenvalue formula
@@ -167,9 +166,7 @@ def verify_family(
     return _collect(f"family:{family.value}", n_range, _guarded(cases, problems))
 
 
-def verify_first_part_bounds(
-    n_range: tuple[int, int] = (31, 80)
-) -> VerificationReport:
+def verify_first_part_bounds(n_range: tuple[int, int]) -> VerificationReport:
     """First parts of all family witnesses stay within the group bounds.
 
     S1 (with Zero) stays within (n+1)/2, S2 and A1 within (n+2)/2, A2
@@ -202,7 +199,7 @@ def verify_first_part_bounds(
     return _collect("first_part_bounds", n_range, _guarded(cases(), problems))
 
 
-def cross_check_oracle(n_range: tuple[int, int] = (2, 45)) -> VerificationReport:
+def cross_check_oracle(n_range: tuple[int, int]) -> VerificationReport:
     """The oracle's spectra versus everything else.
 
     Per n: the spectrum is symmetric about zero with extremes at
@@ -259,9 +256,7 @@ def cross_check_oracle(n_range: tuple[int, int] = (2, 45)) -> VerificationReport
     return _collect("oracle_cross_check", n_range, outcomes())
 
 
-def verify_linear_segment(
-    n_range: tuple[int, int] = (31, 80)
-) -> VerificationReport:
+def verify_linear_segment(n_range: tuple[int, int]) -> VerificationReport:
     """Every k in [-n, n] gets a verified witness, first parts bounded.
 
     One case per target plus one per n for the (n+3)/2 first-part bound
@@ -287,9 +282,7 @@ def verify_linear_segment(
     return _collect("linear_segment", n_range, outcomes())
 
 
-def verify_quadratic_segment(
-    n_range: tuple[int, int] = (48, 60)
-) -> VerificationReport:
+def verify_quadratic_segment(n_range: tuple[int, int]) -> VerificationReport:
     """Every k with y1 <= |k| <= y2 gets a verified witness (both signs).
 
     The positive side runs the full driver; the negative side conjugates
@@ -342,17 +335,10 @@ def verify_quadratic_segment(
 
 CheckRunner = Callable[[tuple[int, int]], VerificationReport]
 
-
-def _family_runner(family: FamilyId) -> CheckRunner:
-    def run(n_range: tuple[int, int]) -> VerificationReport:
-        return verify_family(family, n_range)
-
-    return run
-
-
+# The default n range of every check lives here only.
 DEFAULT_CHECKS: dict[str, tuple[tuple[int, int], CheckRunner]] = {
     **{
-        f"family:{family.value}": ((1, 80), _family_runner(family))
+        f"family:{family.value}": ((1, 80), partial(verify_family, family))
         for family in FamilyId
     },
     "first_part_bounds": ((31, 80), verify_first_part_bounds),

@@ -272,6 +272,14 @@ class TestVerify:
         assert code == 1
         assert "bogus" in err
 
+    @pytest.mark.parametrize("checks", ["", ","])
+    def test_empty_check_id_is_unknown(self, capsys, checks):
+        # an empty list names the check '' rather than falling back to all
+        code, out, err = invoke(capsys, ["verify", "--checks", checks])
+        assert code == 1
+        assert out == ""
+        assert "unknown check ''" in err
+
     def test_artifacts(self, capsys, tmp_path):
         code, _, _ = invoke(
             capsys,

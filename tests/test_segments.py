@@ -1,18 +1,28 @@
 """Segment drivers: dispatch tiling, head brackets, covers, conjecture scan."""
 
+import dataclasses
+
 import pytest
 
-from tnspec import segments
+from tnspec import families, segments
 from tnspec.errors import (
     BelowConstructiveRangeError,
     FormulaOverflowError,
     NoHeadFitsError,
     TargetOutOfSegmentError,
     WitnessNotFoundError,
+    WitnessVerificationError,
 )
 from tnspec.families import FAMILY_REGISTRY, FamilyId
-from tnspec.oracle import EnumerationConstraints, spectrum
-from tnspec.partitions import MAX_FORMULA_N, choose2, conjugate, eigenvalue
+from tnspec.oracle import EnumerationConstraints, SpectrumSet, spectrum
+from tnspec.partitions import (
+    MAX_FORMULA_N,
+    CompactPartition,
+    Partition,
+    choose2,
+    conjugate,
+    eigenvalue,
+)
 from tnspec.segments import (
     LINEAR_MIN_N,
     QUADRATIC_MIN_N,
@@ -274,6 +284,98 @@ class TestQuadraticCover:
             assert report.failures == (), n
             bounds = quadratic_segment_bounds(n)
             assert report.covered == bounds.y2 - bounds.y1 + 1
+
+
+# (driver, n, k, chain): one query per witness path, both signs
+PATHS = [
+    (linear_segment_witness, 40, 7, ("S1_low_even",)),
+    (linear_segment_witness, 40, -7, ("S1_low_even", "conjugate")),
+    (linear_segment_witness, 30, 5, ("oracle",)),
+    (linear_segment_witness, 30, -5, ("oracle",)),
+    (quadratic_segment_witness, 100, 1000, ("head=46", "S1_mid_even")),
+    (quadratic_segment_witness, 48, 90, ("head=17", "S1_mid_odd", "conjugate")),
+    (quadratic_segment_witness, 48, 496, ("head=32", "oracle")),
+    (quadratic_segment_witness, 48, 413, ("head=31", "oracle")),  # rescue
+    (quadratic_segment_witness, 100, -1000, ("head=46", "S1_mid_even", "conjugate")),
+    (quadratic_segment_witness, 48, -413, ("head=31", "oracle", "conjugate")),
+]
+PATH_IDS = [f"{driver.__name__.split('_')[0]} {n} {k}" for driver, n, k, _ in PATHS]
+
+
+class TestVerifiedOnce:
+    """Each public driver checks the partition it returns once, and only
+    that check stands between a wrong piece and the caller."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        original = families.make_witness
+
+        def counted(n, target, partition, chain):
+            calls.append((n, target))
+            return original(n, target, partition, chain)
+
+        monkeypatch.setattr(families, "make_witness", counted)
+        monkeypatch.setattr(segments, "make_witness", counted)
+        return calls
+
+    @pytest.mark.parametrize("driver, n, k, chain", PATHS, ids=PATH_IDS)
+    def test_one_check_per_record(self, checked, driver, n, k, chain):
+        record = driver(n, k)
+        assert record.family_chain == chain
+        if driver is quadratic_segment_witness and k < 0:
+            # the positive record, then its conjugate
+            assert checked == [(n, -k), (n, k)]
+        else:
+            assert checked == [(n, k)]
+
+    @pytest.fixture
+    def lying_builders(self, monkeypatch):
+        # every family shape becomes all ones: a partition of n, wrong value
+        for family, spec in FAMILY_REGISTRY.items():
+            liar = dataclasses.replace(
+                spec, build=lambda n, lam: CompactPartition((), 0, n)
+            )
+            monkeypatch.setitem(FAMILY_REGISTRY, family, liar)
+
+    @pytest.fixture
+    def lying_expansion(self, monkeypatch):
+        # the run-length check passes, the expansion gains a part
+        original = families.expand
+
+        def expand(compact):
+            return Partition(original(compact).parts + (1,))
+
+        monkeypatch.setattr(families, "expand", expand)
+
+    @pytest.fixture
+    def lying_table(self, monkeypatch):
+        # a held value gets the all-ones partition; a hole stays a hole
+        original = SpectrumSet.witness
+
+        def witness(self, value):
+            if original(self, value) is None:
+                return None
+            return Partition((1,) * self.n)
+
+        monkeypatch.setattr(SpectrumSet, "witness", witness)
+
+    @pytest.mark.parametrize(
+        "liar, driver, n, k",
+        [
+            (liar, driver, n, k)
+            for driver, n, k, chain in PATHS
+            for liar in (
+                ("lying_table",)
+                if "oracle" in chain
+                else ("lying_builders", "lying_expansion")
+            )
+        ],
+    )
+    def test_lies_are_caught(self, request, liar, driver, n, k):
+        request.getfixturevalue(liar)
+        with pytest.raises(WitnessVerificationError):
+            driver(n, k)
 
 
 class TestCoverSizeLimit:
