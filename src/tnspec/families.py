@@ -15,7 +15,10 @@ cover every integer target k in [0, n]:
 FAMILY_REGISTRY is the only description of which family serves which
 target.  Some target sets overlap, so the linear driver takes the first
 family, in one fixed priority order declared next to the registry rows,
-whose targets contain k; for n >= 31 that tiles [0, n].
+whose targets contain k; for n >= 31 that tiles [0, n].  A query does not
+scan the families for that: it bisects a table of cells over k whose
+starts are affine in n, derived on first use from the registry's range
+endpoints; the ordered scan stays as the table's reference.
 
 Every builder checks the run-length evaluation of its shape against the
 target, which costs O(head).  The flat eigenvalue formula re-checks each
@@ -29,12 +32,15 @@ too (see verify.verify_family).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .errors import (
     OutOfFamilyRangeError,
     ParityViolationError,
+    TnSpecError,
     WitnessVerificationError,
 )
 from .partitions import (
@@ -45,6 +51,9 @@ from .partitions import (
     eigenvalue,
     expand,
 )
+
+# From this n on, the families in dispatch order tile [0, n].
+LINEAR_MIN_N = 31
 
 
 class FamilyId(str, enum.Enum):
@@ -611,9 +620,9 @@ _DISPATCH_ORDER: tuple[FamilyId, ...] = (
     FamilyId.A2_ROW_N6_EVEN,
 )
 
-# The same order without the families of the other parity of n.  Scanning
-# those costs a call each: about 4 % of the p50 latency of perfbench's
-# witness_queries workload on a 2-core host.
+# The same order without the families of the other parity of n, for which
+# family_targets returns an empty range: the reference scan and the
+# derivation of the dispatch cells below read only these.
 _DISPATCH_BY_PARITY: tuple[tuple[FamilyId, ...], ...] = tuple(
     tuple(
         family
@@ -624,9 +633,7 @@ _DISPATCH_BY_PARITY: tuple[tuple[FamilyId, ...], ...] = tuple(
 )
 
 
-def family_targets(family: FamilyId, n: int) -> range:
-    """Eigenvalue targets the family covers at this n (may be empty)."""
-    spec = FAMILY_REGISTRY[family]
+def _spec_targets(spec: FamilySpec, n: int) -> range:
     if n < spec.n_min:
         return _NO_TARGETS
     if spec.n_parity is not None and n % 2 != spec.n_parity:
@@ -634,13 +641,19 @@ def family_targets(family: FamilyId, n: int) -> range:
     return spec.targets(n)
 
 
+def family_targets(family: FamilyId, n: int) -> range:
+    """Eigenvalue targets the family covers at this n (may be empty)."""
+    return _spec_targets(FAMILY_REGISTRY[family], n)
+
+
 def build_family(family: FamilyId, n: int, lam: int) -> CompactPartition:
     """Build the family's shape after checking (n, lam) admissibility."""
-    if lam not in family_targets(family, n):
+    spec = FAMILY_REGISTRY[family]
+    if lam not in _spec_targets(spec, n):
         raise OutOfFamilyRangeError(
             f"{family.value} does not cover target {lam} at n = {n}"
         )
-    return FAMILY_REGISTRY[family].build(n, lam)
+    return spec.build(n, lam)
 
 
 def _family_partition(family: FamilyId, n: int, lam: int) -> Partition:
@@ -654,13 +667,119 @@ def _family_partition(family: FamilyId, n: int, lam: int) -> Partition:
     return expand(compact)
 
 
+def _dispatch_ranges(n: int) -> list[tuple[FamilyId, range]]:
+    """(family, targets at n) for n's parity, in dispatch order."""
+    return [
+        (family, family_targets(family, n)) for family in _DISPATCH_BY_PARITY[n % 2]
+    ]
+
+
+def _first_covering(
+    ranges: list[tuple[FamilyId, range]], lam: int
+) -> FamilyId | None:
+    for family, targets in ranges:
+        if lam in targets:
+            return family
+    return None
+
+
+def _scan_family(n: int, lam: int) -> FamilyId | None:
+    """The reference dispatch: the first family in dispatch order whose
+    targets at n contain lam, or None."""
+    return _first_covering(_dispatch_ranges(n), lam)
+
+
+# --- dispatch cells ----------------------------------------------------------
+#
+# Fix the class (n mod 8, lam mod 2).  Every range endpoint is a floor
+# quotient (n + c) // d with d in {1, 2, 4}, so within the class each
+# endpoint, and with it each point where the first covering family
+# changes, is affine in n.  The targets of one parity therefore split into
+# cells [start_i, start_{i+1}) with one owner each and starts affine in n,
+# and a query is a bisect over the starts.  The cells are read off the
+# range endpoints at two sample n per class and checked there against each
+# other; tests compare the bisect with the reference scan.
+
+_CELL_PERIOD = 8
+
+# (n0, starts, steps, owners): at n = n0 + 8m, n >= n0, cell i starts at
+# starts[i] + steps[i]*m and is served by owners[i] (None: no family).
+_Cells = tuple[int, tuple[int, ...], tuple[int, ...], tuple[FamilyId | None, ...]]
+
+
+def _cells_at(
+    ranges: list[tuple[FamilyId, range]], n: int, parity: int
+) -> tuple[list[int], list[FamilyId | None]]:
+    """(starts, owners) of the cells of the targets of this parity at n,
+    given _dispatch_ranges(n).
+
+    The owner can change only where some range gains or loses its targets
+    of this parity: at its first target, or just past its last, each moved
+    up to this parity.  The last cell starts above n and has no owner.
+    """
+    candidates = {parity, n + 1}
+    for _, targets in ranges:
+        if targets:
+            candidates.update((targets[0], targets[-1] + 1))
+    starts: list[int] = []
+    owners: list[FamilyId | None] = []
+    for lam in sorted({c + (c - parity) % 2 for c in candidates}):
+        owner = _first_covering(ranges, lam)
+        if not owners or owner is not owners[-1]:
+            starts.append(lam)
+            owners.append(owner)
+    return starts, owners
+
+
+def _derive_cells(residue: int) -> tuple[_Cells, _Cells]:
+    """The cells of n = residue (mod 8), for even and for odd targets."""
+    n0 = LINEAR_MIN_N + (residue - LINEAR_MIN_N) % _CELL_PERIOD
+    samples = [(n, _dispatch_ranges(n)) for n in (n0, n0 + _CELL_PERIOD)]
+    cells: list[_Cells] = []
+    for parity in (0, 1):
+        (starts, owners), (later_starts, later_owners) = (
+            _cells_at(ranges, n, parity) for n, ranges in samples
+        )
+        steps = tuple(later - start for start, later in zip(starts, later_starts))
+        # the same owners at both samples, and no cell shrinking as n grows:
+        # then the starts stay in order, and every cell nonempty, for n >= n0
+        if later_owners != owners or any(b < a for a, b in zip(steps, steps[1:])):
+            raise TnSpecError(
+                f"dispatch cells at n = {residue} mod {_CELL_PERIOD}, target "
+                f"parity {parity} are not affine in n"
+            )
+        cells.append((n0, tuple(starts), steps, tuple(owners)))
+    return cells[0], cells[1]
+
+
+@cache
+def _dispatch_cells() -> tuple[tuple[_Cells, _Cells], ...]:
+    """The cells of every class, indexed by n mod 8, then lam mod 2.
+
+    Built on the first dispatch (about 1.5 ms), so that importing the
+    package, and every command that never dispatches, does not pay for it.
+    """
+    return tuple(_derive_cells(residue) for residue in range(_CELL_PERIOD))
+
+
+def _table_family(n: int, lam: int) -> FamilyId | None:
+    """The family the reference scan picks, for n >= LINEAR_MIN_N."""
+    n0, starts, steps, owners = _dispatch_cells()[n % _CELL_PERIOD][lam % 2]
+    m = (n - n0) // _CELL_PERIOD
+    cell = bisect_right([start + step * m for start, step in zip(starts, steps)], lam)
+    return owners[cell - 1] if cell else None
+
+
 def _dispatch_witness(n: int, lam: int) -> tuple[Partition, tuple[str, ...]]:
     """(partition, chain) from the first family in dispatch order that
     covers lam, not yet verified."""
-    for family in _DISPATCH_BY_PARITY[n % 2]:
-        if lam in family_targets(family, n):
-            return _family_partition(family, n, lam), (family.value,)
-    raise OutOfFamilyRangeError(f"no family covers target {lam} at n = {n}")
+    if n >= LINEAR_MIN_N:
+        family = _table_family(n, lam)
+    else:
+        family = _scan_family(n, lam)
+    if family is None:
+        raise OutOfFamilyRangeError(f"no family covers target {lam} at n = {n}")
+    return _family_partition(family, n, lam), (family.value,)
 
 
 def zero_witness(n: int) -> Partition:

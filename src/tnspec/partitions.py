@@ -21,11 +21,23 @@ A run-length "compact" form (head, number of 2s, number of 1s) is provided
 for families whose members end in long 2- and 1-tails; its eigenvalue
 reduces to the head's eigenvalue minus an explicit deduction, evaluated
 without ever expanding the tail.
+
+Witnesses of the segment theorems are a short head followed by long runs
+of 2s and 1s, so a Partition with RUN_PATH_MIN_PARTS parts or more holds
+only its runs of equal parts, and validation, the flat formula and
+conjugation step once per run rather than once per part: their Python
+work is O(runs), and whatever O(n) work is left runs inside builtins.
+Below RUN_PATH_MIN_PARTS a Partition holds its tuple and the per-part
+loops, which are cheaper there, do the work.  Both forms are the actual
+partition, never a CompactPartition, so compact_eigenvalue stays an
+independent second evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import groupby
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -42,6 +54,13 @@ from .errors import (
 # beyond this bound are rejected so that downstream consumers may assume
 # values fit comfortably in signed 64 bits.
 MAX_FORMULA_N = 100_000
+
+# From this many parts on, a Partition holds its runs of equal parts, and
+# validation and the flat formula step once per run.  On witness shapes (a short head, then runs of 2s and 1s)
+# the two paths cross near 24 parts: below, groupby's per-run objects cost
+# more than the per-part loops save; above, the run path wins by a margin
+# that grows with length (about 4x for the flat formula at 500 parts).
+RUN_PATH_MIN_PARTS = 24
 
 
 def check_formula_n(n: int) -> None:
@@ -65,23 +84,39 @@ def _exact_half(value: int) -> int:
     return half
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition: a nonincreasing tuple of positive integers.
 
     The empty partition (of n = 0) is allowed so that degenerate tails in
     recursive decompositions have a value; ``make_partition`` is stricter
     and rejects it for user-facing input.
+
+    Below RUN_PATH_MIN_PARTS parts the partition holds its tuple.  From
+    there on it holds only its runs of equal parts, as a flat tuple
+    (value, count, value, count, ...), and ``parts`` rebuilds the tuple on
+    each access.  A witness for n = 1000 is then a few integers, not a
+    tuple of about a thousand.  That matters to callers that keep many
+    witnesses: CPython's cyclic garbage collector walks every slot of each
+    new tuple once, so each collection of its youngest generation would
+    walk the parts of the last hundred-odd witnesses, and the call it lands
+    in would take several times its usual time.  Which form is held depends
+    only on the length; equality, hashing and repr are those of the tuple.
     """
 
-    parts: tuple[int, ...]
-    n: int = field(init=False)
+    __slots__ = ("_parts", "_runs", "n")
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
+        if len(parts) < RUN_PATH_MIN_PARTS:
+            runs = None
+            steps: Iterable[int] = parts
+        else:
+            # a run of equal parts is valid iff its first part is, so the
+            # long path checks one part per run and names the same part
+            runs = _runs_of(parts)
+            steps = runs[::2]
         previous = None
-        for part in parts:
+        for part in steps:
             if part <= 0:
                 raise NonPositivePartError(f"part {part} is not positive")
             if previous is not None and part > previous:
@@ -89,13 +124,46 @@ class Partition:
                     f"parts {parts} are not nonincreasing (no implicit sorting)"
                 )
             previous = part
-        object.__setattr__(self, "n", sum(parts))
+        _set(self, "_parts", parts if runs is None else None)
+        _set(self, "_runs", runs)
+        _set(self, "n", sum(parts))
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        runs = self._runs
+        if runs is None:
+            return self._parts
+        return _parts_of(zip(runs[::2], runs[1::2]))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[int, ...]]]:
+        return Partition, (self.parts,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        if (self._runs is None) is (other._runs is None):
+            return self._runs == other._runs and self._parts == other._parts
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.n))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r}, n={self.n!r})"
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        if self._runs is None:
+            return len(self._parts)
+        return sum(self._runs[1::2])
 
     def __getitem__(self, index: int) -> int:
         return self.parts[index]
@@ -103,10 +171,60 @@ class Partition:
     @property
     def first_part(self) -> int:
         """Largest part; 0 for the empty partition."""
-        return self.parts[0] if self.parts else 0
+        if self._runs is not None:
+            return self._runs[0]
+        return self._parts[0] if self._parts else 0
 
     def __str__(self) -> str:
-        return " ".join(str(part) for part in self.parts) if self.parts else "()"
+        return " ".join(str(part) for part in self.parts) if self.n else "()"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _runs_of(parts: Iterable[int]) -> tuple[int, ...]:
+    """(value, count, value, count, ...) for the runs of equal consecutive
+    parts, in order."""
+    runs: list[int] = []
+    for value, run in groupby(parts):
+        runs += (value, len(list(run)))
+    return tuple(runs)
+
+
+def _from_runs(pairs: list[tuple[int, int]]) -> Partition:
+    """The Partition whose parts are `count` (>= 0) copies of each `value`,
+    in order, built in O(runs): adjacent equal values merge and empty runs
+    drop out.  Anything Partition would reject goes through Partition, so
+    the error is the one the tuple raises."""
+    runs: list[int] = []
+    for value, count in pairs:
+        if not count:
+            continue
+        if value <= 0 or (runs and value > runs[-2]):
+            return Partition(_parts_of(pairs))
+        if runs and value == runs[-2]:
+            runs[-1] += count
+        else:
+            runs += (value, count)
+    values, counts = runs[::2], runs[1::2]
+    partition = _new(Partition)
+    if sum(counts) < RUN_PATH_MIN_PARTS:
+        _set(partition, "_parts", _parts_of(zip(values, counts)))
+        _set(partition, "_runs", None)
+    else:
+        _set(partition, "_parts", None)
+        _set(partition, "_runs", tuple(runs))
+    _set(partition, "n", sum(map(mul, values, counts)))
+    return partition
+
+
+def _parts_of(pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The parts: `count` copies of each `value`, in order."""
+    parts: list[int] = []
+    for value, count in pairs:
+        parts += (value,) * count
+    return tuple(parts)
 
 
 EMPTY_PARTITION = Partition(())
@@ -132,11 +250,29 @@ def eigenvalue_of_parts(parts: Sequence[int]) -> int:
     For callers whose parts are nonincreasing by construction, such as
     tests that walk enumerated tuples, where wrapping each tuple in a
     Partition would dominate the running time.
+
+    From RUN_PATH_MIN_PARTS parts on, the sum of n_j(n_j - 2j + 1) is taken
+    per run of equal consecutive parts: a run of `size` copies of v starting
+    at position j contributes size*v*(v - 2j - size + 2) in closed form.
+    The runs are those of the sequence as given, so the result equals the
+    per-part sum for any sequence.
     """
+    if len(parts) < RUN_PATH_MIN_PARTS:
+        doubled = 0
+        for j, part in enumerate(parts, start=1):
+            doubled += part * (part - 2 * j + 1)
+        return _exact_half(doubled)
+    return _exact_half(_runs_doubled(_runs_of(parts)))
+
+
+def _runs_doubled(runs: tuple[int, ...]) -> int:
+    """sum_j n_j (n_j - 2j + 1) over the parts with these runs, per run."""
     doubled = 0
-    for j, part in enumerate(parts, start=1):
-        doubled += part * (part - 2 * j + 1)
-    return _exact_half(doubled)
+    j = 1
+    for value, size in zip(runs[::2], runs[1::2]):
+        doubled += size * value * (value - 2 * j - size + 2)
+        j += size
+    return doubled
 
 
 def eigenvalue(p: Partition) -> int:
@@ -147,7 +283,9 @@ def eigenvalue(p: Partition) -> int:
     raises ParityViolationError rather than rounding.
     """
     check_formula_n(p.n)
-    return eigenvalue_of_parts(p.parts)
+    if p._runs is None:
+        return eigenvalue_of_parts(p._parts)
+    return _exact_half(_runs_doubled(p._runs))
 
 
 def conjugate(p: Partition) -> Partition:
@@ -155,19 +293,48 @@ def conjugate(p: Partition) -> Partition:
 
     Row j of the conjugate has length |{i : n_i >= j}|.  Conjugation is an
     involution and negates the eigenvalue: eig(conjugate(p)) = -eig(p).
+
+    A partition below RUN_PATH_MIN_PARTS parts is read run by run: when
+    a run of value v follows `count` larger parts of smallest value
+    `previous`, rows v+1 .. previous all have length `count`, so each run
+    emits one block (count,) * (previous - v), shortest rows first, and
+    the rows are reversed at the end.  A longer partition holds its runs,
+    and the conjugate's runs are read off them without any rows: with
+    values v_1 > ... > v_r holding c_1, ..., c_r parts, rows
+    v_(i+1) + 1 .. v_i all have length c_1 + ... + c_i.  Either result is
+    validated like any other Partition.
     """
-    if not p.parts:
-        return EMPTY_PARTITION
-    rows = []
-    for j in range(1, p.parts[0] + 1):
+    if p._runs is None:
+        rows: list[int] = []
         count = 0
-        for part in p.parts:
-            if part >= j:
-                count += 1
-            else:
-                break
-        rows.append(count)
-    return Partition(tuple(rows))
+        previous = p.first_part
+        for value, run in groupby(p._parts):
+            rows += (count,) * (previous - value)
+            count += len(list(run))
+            previous = value
+        rows += (count,) * previous
+        rows.reverse()
+        return Partition(rows)
+    runs = p._runs
+    blocks: list[tuple[int, int]] = []
+    length = sum(runs[1::2])
+    below = 0
+    for value, count in zip(reversed(runs[::2]), reversed(runs[1::2])):
+        blocks.append((length, value - below))
+        length -= count
+        below = value
+    return _from_runs(blocks)
+
+
+def with_head(first: int, tail: Partition) -> Partition:
+    """The partition (first, *tail), validated like any other: a first
+    part below the tail's raises NotNonincreasingError.  A tail below
+    RUN_PATH_MIN_PARTS parts is joined as a tuple; a longer one through
+    its runs, in O(runs)."""
+    runs = tail._runs
+    if runs is None:
+        return Partition((first,) + tail._parts)
+    return _from_runs([(first, 1), *zip(runs[::2], runs[1::2])])
 
 
 def eigenvalue_via_head(first: int, tail: Partition, n: int) -> int:
@@ -234,8 +401,14 @@ class CompactPartition:
 
 
 def expand(compact: CompactPartition) -> Partition:
-    """Materialize the compact form as an explicit Partition."""
-    return Partition(compact.head + (2,) * compact.twos + (1,) * compact.ones)
+    """Materialize the compact form as an explicit Partition.  From
+    RUN_PATH_MIN_PARTS parts on, it is built from the runs in O(head),
+    without a tuple of its parts."""
+    if compact.head_length + compact.twos + compact.ones < RUN_PATH_MIN_PARTS:
+        return Partition(compact.head + (2,) * compact.twos + (1,) * compact.ones)
+    pairs = [(value, len(list(run))) for value, run in groupby(compact.head)]
+    pairs += ((2, compact.twos), (1, compact.ones))
+    return _from_runs(pairs)
 
 
 def compact_eigenvalue(compact: CompactPartition) -> int:

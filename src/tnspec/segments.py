@@ -48,11 +48,10 @@ from .errors import (
     TnSpecError,
     WitnessNotFoundError,
 )
-from .families import WitnessRecord, _dispatch_witness, make_witness
+from .families import LINEAR_MIN_N, WitnessRecord, _dispatch_witness, make_witness
 from .oracle import EnumerationConstraints, spectrum
-from .partitions import Partition, check_formula_n, choose2, conjugate
+from .partitions import Partition, check_formula_n, choose2, conjugate, with_head
 
-LINEAR_MIN_N = 31
 QUADRATIC_MIN_N = 48
 
 
@@ -159,11 +158,19 @@ def linear_segment_witness(n: int, k: int) -> WitnessRecord:
     instead, with chain ("oracle",); a genuine hole of the small spectrum
     (T_18 misses +-4) raises WitnessNotFoundError.
     """
+    _check_witness_n(n)
     if abs(k) > n:
         raise TargetOutOfSegmentError(
             f"target {k} is outside the linear segment [-n, n] at n = {n}"
         )
     return make_witness(n, k, *_linear_parts(n, k))
+
+
+def _check_witness_n(n: int) -> None:
+    """Refuse n < 1 and n above MAX_FORMULA_N before looking at the target."""
+    if n < 1:
+        raise InvalidArgumentError(f"a witness needs n >= 1, not n = {n}")
+    check_formula_n(n)
 
 
 def _linear_parts(n: int, k: int) -> tuple[Partition, tuple[str, ...]]:
@@ -226,7 +233,7 @@ def _joined(first: int, tail: Partition) -> Partition:
         raise HeadTooSmallError(
             f"residual witness {tail} starts above the leading part {first}"
         )
-    return Partition((first,) + tail.parts)
+    return with_head(first, tail)
 
 
 def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
@@ -245,6 +252,7 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     admissible leading parts, cheapest residual first, for one whose
     (out-of-bracket) residual target the oracle can witness.
     """
+    _check_witness_n(n)
     bounds = quadratic_segment_bounds(n)
     if not bounds.y1 <= abs(k) <= bounds.y2:
         raise TargetOutOfSegmentError(

@@ -213,6 +213,23 @@ class TestWitness:
         code, _, err = invoke(capsys, ["witness", "--theorem", "4", "48", "90"])
         assert code == 2
 
+    @pytest.mark.parametrize("theorem", ["3", "5"])
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_n_below_one_is_checked_before_the_segment(self, capsys, theorem, n):
+        code, out, err = invoke(capsys, ["witness", "--theorem", theorem, n, "0"])
+        assert (code, out) == (1, "")
+        assert f"a witness needs n >= 1, not n = {n}" in err
+        assert "segment" not in err
+
+    @pytest.mark.parametrize("theorem", ["3", "5"])
+    def test_above_formula_bound_fails_fast(self, capsys, theorem):
+        start = time.perf_counter()
+        argv = ["witness", "--theorem", theorem, "100001", "5"]
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert "100001 exceeds the configured bound 100000" in err
+
 
 class TestCover:
     def test_linear_text(self, capsys):

@@ -1,12 +1,14 @@
-"""Golden digests: the stdout of eight CLI commands, byte for byte.
+"""Golden digests: the stdout of eleven CLI commands, byte for byte.
 
 Each digest is the sha256 of the concatenated stdout of `cli.run` over one
-range of n.  A change that alters any of these outputs must say so and
-record the new digest here.  The two `cover` entries pin witness bytes on
-short ranges: N = 31..80, and `--theorem 5` for N = 48..60, which takes the
-rescue path at (48, 413) and many oracle tails.  The full `cover` ranges
-(N = 31..300, and `--theorem 5` for N = 48..300) take 10 s and 150 s, so
-they are checked by hand, not here.
+range of its `{n}` placeholder.  A change that alters any of these outputs
+must say so and record the new digest here.  The two `cover` entries pin
+witness bytes on short ranges: N = 31..80, and `--theorem 5` for
+N = 48..60, which takes the rescue path at (48, 413) and many oracle tails.
+The three `witness` entries pin conjugated witnesses of 500 to 1000 parts,
+at n = 2001 and 2000 and, behind a head, on the quadratic segment at 1500.
+The full `cover` ranges (N = 31..300, and `--theorem 5` for N = 48..300)
+take about 6 s and 90 s, so they are checked by hand, not here.
 """
 
 import hashlib
@@ -55,6 +57,21 @@ GOLDEN = [
         ["cover", "--theorem", "5", "{n}", "--format", "csv"],
         range(48, 61),
         "9296a6e7f833f18f5a10c3ac8ef158759a4dec39c8f45f58390b2cd926b9b3a8",
+    ),
+    (
+        ["witness", "2001", "-{n}", "--format", "csv"],
+        range(0, 2002, 23),
+        "076194b116872fd3126ae6ef88b5be2b2ae036bb4082c8ef9773f569bb6eebd6",
+    ),
+    (
+        ["witness", "2000", "-{n}", "--format", "csv"],
+        range(1, 2001, 23),
+        "77d438c9dfa704e64b6b85c5614ec8663fdd3fdb4659a1c95977f88934d88f55",
+    ),
+    (
+        ["witness", "--theorem", "5", "1500", "-{n}", "--format", "csv"],
+        range(123252, 499501, 4001),
+        "6f54683a177162da27e323f65c3ad7cb4e8caff971d5a3179ae5119193eb0513",
     ),
 ]
 

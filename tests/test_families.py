@@ -1,10 +1,19 @@
-"""Witness families: frozen examples, soundness sweeps, range tightness."""
+"""Witness families: frozen examples, soundness sweeps, range tightness,
+and the dispatch table against the ordered scan it replaces."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tnspec import families
 from tnspec.errors import OutOfFamilyRangeError, WitnessVerificationError
 from tnspec.families import (
     FAMILY_REGISTRY,
+    LINEAR_MIN_N,
     FamilyId,
     build_family,
     family_targets,
@@ -21,7 +30,7 @@ from tnspec.partitions import (
     expand,
     make_partition,
 )
-from tnspec.segments import linear_segment_witness
+from tnspec.segments import linear_segment_witness, quadratic_segment_witness
 
 SWEEP_TOP = 80
 
@@ -323,3 +332,69 @@ class TestWitnessRecord:
             "partition": [10, 7, 4, 3, 3, 1, 1, 1, 1],
             "verified": True,
         }
+
+
+class TestDispatchTable:
+    """The bisect over affine cell starts picks what the ordered scan picks."""
+
+    def test_importing_the_package_builds_no_table(self):
+        # the table is built on the first dispatch, not by `import tnspec`
+        probe = "import tnspec; print(tnspec.families._dispatch_cells.cache_info().currsize)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(families.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "0"
+
+    def test_every_target_matches_the_scan(self):
+        for n in range(LINEAR_MIN_N, 401):
+            for lam in range(0, n + 1):
+                family = families._table_family(n, lam)
+                assert family is not None, (n, lam)
+                assert family is families._scan_family(n, lam), (n, lam)
+
+    def test_seeded_large_n_match_the_scan(self):
+        rng = random.Random(20261018)
+        for _ in range(20_000):
+            n = rng.randint(LINEAR_MIN_N, 100_000)
+            lam = rng.randint(0, n)
+            table, scan = families._table_family(n, lam), families._scan_family(n, lam)
+            assert table is scan, (n, lam)
+
+    def test_below_the_table_the_scan_answers(self):
+        for n in range(20, LINEAR_MIN_N):
+            for lam in range(0, n + 1):
+                family = families._scan_family(n, lam)
+                if family is None:
+                    continue
+                partition, chain = families._dispatch_witness(n, lam)
+                assert chain == (family.value,)
+                assert eigenvalue(partition) == lam
+
+    @pytest.mark.parametrize("n", [31, 32, 37, 38, 999, 100_000])
+    def test_targets_outside_zero_to_n_are_refused(self, n):
+        for lam in (-1, n + 1):
+            assert families._scan_family(n, lam) is None
+            with pytest.raises(OutOfFamilyRangeError):
+                families._dispatch_witness(n, lam)
+
+    def test_queries_do_not_call_family_targets(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a query called family_targets")
+
+        monkeypatch.setattr(families, "family_targets", refuse)
+        for n in (31, 32, 33, 38, 517, 1000, 100_000):
+            for k in (0, 1, n // 4, n // 2, n // 2 + 2, n - 6, n - 1, n):
+                assert linear_segment_witness(n, k).target == k
+                assert linear_segment_witness(n, -k).target == -k
+        for n, k in ((48, 413), (100, 1000), (1000, 100_000)):
+            assert quadratic_segment_witness(n, k).target == k
+            assert quadratic_segment_witness(n, -k).target == -k

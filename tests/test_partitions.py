@@ -1,10 +1,15 @@
 """Partition type, eigenvalue formula, conjugation, and compact forms."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tnspec import partitions
 from tnspec.errors import (
     FormulaOverflowError,
     HeadTooSmallError,
@@ -17,15 +22,18 @@ from tnspec.oracle import enumerate_partitions
 from tnspec.partitions import (
     EMPTY_PARTITION,
     MAX_FORMULA_N,
+    RUN_PATH_MIN_PARTS,
     CompactPartition,
     Partition,
     choose2,
     compact_eigenvalue,
     conjugate,
     eigenvalue,
+    eigenvalue_of_parts,
     eigenvalue_via_head,
     expand,
     make_partition,
+    with_head,
 )
 
 
@@ -42,6 +50,43 @@ def transpose_young_diagram(parts):
 partitions_st = st.lists(st.integers(1, 20), min_size=1, max_size=12).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
 )
+
+
+def flat_reference(parts):
+    """sum_j n_j (n_j - 2j + 1) / 2, one part at a time."""
+    doubled = sum(part * (part - 2 * j + 1) for j, part in enumerate(parts, start=1))
+    assert doubled % 2 == 0
+    return doubled // 2
+
+
+# Witness-like tuples: a short head, random small parts, then runs of 2s and
+# 1s, from a few parts to about 3000, on both sides of RUN_PATH_MIN_PARTS.
+run_count_st = st.one_of(st.integers(0, 2 * RUN_PATH_MIN_PARTS), st.integers(0, 1500))
+long_parts_st = st.builds(
+    lambda head, middle, twos, ones: tuple(sorted(head + middle, reverse=True))
+    + (2,) * twos
+    + (1,) * ones,
+    st.lists(st.integers(3, 400), max_size=4),
+    st.lists(st.integers(2, 40), max_size=30),
+    run_count_st,
+    run_count_st,
+).filter(bool)
+
+
+def raised(parts):
+    """(exception class, message) that Partition(parts) raises, or None."""
+    try:
+        Partition(parts)
+    except PartitionError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def per_part_raised(parts):
+    """What Partition raises when every length takes the per-part loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "RUN_PATH_MIN_PARTS", len(parts) + 1)
+        return raised(parts)
 
 
 class TestMakePartition:
@@ -165,6 +210,130 @@ class TestConjugate:
     def test_antisymmetry_property(self, p):
         assert eigenvalue(conjugate(p)) == -eigenvalue(p)
         assert conjugate(conjugate(p)).parts == p.parts
+
+
+class TestLongPartitions:
+    """The run path (from RUN_PATH_MIN_PARTS parts on) against per-part
+    references, on the shapes the segment witnesses have."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_parts_st)
+    def test_conjugate_is_the_transpose_and_an_involution(self, parts):
+        p = Partition(parts)
+        q = conjugate(p)
+        assert q.parts == transpose_young_diagram(parts)
+        assert conjugate(q).parts == parts
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_parts_st)
+    def test_eigenvalue_matches_the_per_part_sum(self, parts):
+        p = Partition(parts)
+        assert p.n == sum(parts)
+        assert eigenvalue(p) == flat_reference(parts)
+        assert eigenvalue(conjugate(p)) == -flat_reference(parts)
+
+    @given(st.lists(st.integers(-3, 6), max_size=3 * RUN_PATH_MIN_PARTS))
+    def test_raw_sequences_match_the_per_part_sum(self, parts):
+        # eigenvalue_of_parts validates nothing; runs are read as given
+        assert eigenvalue_of_parts(parts) == flat_reference(parts)
+
+    @pytest.mark.parametrize(
+        "parts, error",
+        [
+            # a 0 inside a long 1-run
+            ((5, 2, 2) + (1,) * 30 + (0,) + (1,) * 30, NonPositivePartError),
+            # a negative part after an increase: the increase is reported
+            ((5,) + (2,) * 30 + (3, -1) + (1,) * 10, NotNonincreasingError),
+            # an increase after a nonpositive part: the part is reported
+            ((5,) + (1,) * 30 + (0, 2) + (1,) * 10, NonPositivePartError),
+            ((-1,) * 40, NonPositivePartError),
+            ((1,) * 40 + (2,), NotNonincreasingError),
+        ],
+    )
+    def test_malformed_tuples_raise_as_the_per_part_loop(self, parts, error):
+        assert len(parts) >= RUN_PATH_MIN_PARTS
+        got = raised(parts)
+        assert got is not None and got[0] is error
+        assert got == per_part_raised(parts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_parts_st, st.data())
+    def test_corrupted_tuples_raise_as_the_per_part_loop(self, parts, data):
+        index = data.draw(st.integers(0, len(parts) - 1))
+        value = data.draw(st.integers(-2, parts[0] + 2))
+        corrupt = parts[:index] + (value,) + parts[index + 1 :]
+        assert raised(corrupt) == per_part_raised(corrupt)
+
+
+class TestRunStorage:
+    """From RUN_PATH_MIN_PARTS parts on a Partition holds its runs, not its
+    tuple; it must still behave exactly like the tuple it stands for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_parts_st)
+    def test_behaves_like_its_tuple(self, parts):
+        p = Partition(parts)
+        assert p.parts == parts and p.n == sum(parts)
+        assert len(p) == len(parts) and p.first_part == parts[0]
+        assert list(p) == list(parts) and p[-1] == parts[-1]
+        assert str(p) == " ".join(map(str, parts))
+        assert repr(p) == f"Partition(parts={parts!r}, n={sum(parts)})"
+        assert hash(p) == hash((parts, sum(parts)))
+        assert p == Partition(list(parts)) and p != Partition(parts + (1,))
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert copy.deepcopy(p) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_parts_st.filter(lambda parts: len(parts) >= RUN_PATH_MIN_PARTS))
+    def test_long_partitions_keep_no_tuple_of_their_parts(self, parts):
+        # what the garbage collector walks: two integers per run
+        held = [
+            item for item in gc.get_referents(Partition(parts)) if isinstance(item, tuple)
+        ]
+        assert sum(map(len, held)) == 2 * len(set(parts))
+
+    def test_equal_across_thresholds(self):
+        parts = (4, 2, 2) + (1,) * 30
+        runs = Partition(parts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partitions, "RUN_PATH_MIN_PARTS", len(parts) + 1)
+            flat = Partition(parts)
+        assert runs == flat and hash(runs) == hash(flat)
+
+    def test_frozen(self):
+        p = Partition((3,) + (1,) * 40)
+        for name in ("parts", "n", "_runs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(2, 60), max_size=6),
+        st.integers(0, 2 * RUN_PATH_MIN_PARTS),
+        st.integers(0, 2 * RUN_PATH_MIN_PARTS),
+    )
+    def test_expand_equals_the_built_tuple(self, head, twos, ones):
+        head = tuple(sorted(head, reverse=True))
+        compact = CompactPartition(head, twos, ones)
+        expected = head + (2,) * twos + (1,) * ones
+        assert expand(compact) == Partition(expected)
+        assert expand(compact).parts == expected
+        assert eigenvalue(expand(compact)) == flat_reference(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_parts_st, st.integers(0, 3))
+    def test_with_head_equals_the_joined_tuple(self, parts, extra):
+        for tail in (Partition(parts), Partition(parts[:5])):
+            first = tail.first_part + extra
+            joined = with_head(first, tail)
+            assert joined == Partition((first,) + tail.parts)
+            assert eigenvalue(joined) == flat_reference((first,) + tail.parts)
+
+    def test_with_head_below_the_tail_raises_as_the_tuple(self):
+        tail = Partition((5,) + (1,) * 30)
+        with pytest.raises(NotNonincreasingError) as caught:
+            with_head(4, tail)
+        assert str(caught.value) == raised((4,) + tail.parts)[1]
 
 
 class TestHeadDecomposition:
