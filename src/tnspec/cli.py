@@ -1,9 +1,10 @@
 """Command-line interface.
 
 One subcommand per capability; each prints to stdout in the selected
---format (text, json, csv) and can additionally drop its JSON artifact
-into a directory given with --out.  Exit codes: 0 success, 1 domain error
-or failed verification, 2 usage error.
+--format (text, json, csv), building only that format, and can
+additionally drop its JSON artifact into a directory given with --out.
+Exit codes: 0 success, 1 domain error or failed verification, 2 usage
+error.
 
 Partitions on the command line are space-separated positive integers and
 must already be nonincreasing — the library never sorts silently, so the
@@ -14,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 from .errors import TnSpecError
-from .families import WitnessRecord
 from .oracle import (
     EnumerationConstraints,
     cayley_spectrum,
@@ -50,45 +52,33 @@ def _write_artifact(args: argparse.Namespace, name: str, payload: dict) -> None:
 
 def _emit(
     args: argparse.Namespace,
-    payload: dict,
-    text_lines: list[str],
-    csv_rows: list[list[str]],
+    payload: Callable[[], dict],
+    text_lines: Callable[[], Iterable[str]],
+    csv_rows: Callable[[], Iterable[Sequence[str]]],
     artifact_name: str,
-    artifact: dict | None = None,
+    artifact: Callable[[], dict] | None = None,
 ) -> None:
-    """Print payload in the chosen format; write artifact (default: payload)
-    under --out."""
+    """Print the format --format selects; write the artifact (default: the
+    payload) under --out.  Each output is a zero-argument builder, and only
+    the builders of what is printed or written are called."""
+    built = None
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        built = payload()
+        print(json.dumps(built, sort_keys=True, indent=2))
     elif args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows)
+        writer.writerows(csv_rows())
         sys.stdout.write(buffer.getvalue())
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
-    _write_artifact(args, artifact_name, payload if artifact is None else artifact)
-
-
-def _witness_output(record: WitnessRecord) -> tuple[dict, list[str], list[list[str]]]:
-    payload = record.to_json_dict()
-    text = [
-        str(record.partition),
-        f"family: {record.family}",
-        f"verified: {str(record.verified).lower()}",
-    ]
-    rows = [
-        ["n", "target", "family", "partition", "verified"],
-        [
-            str(record.n),
-            str(record.target),
-            record.family,
-            str(record.partition),
-            str(record.verified).lower(),
-        ],
-    ]
-    return payload, text, rows
+    if args.out is not None:
+        if artifact is not None:
+            built = artifact()
+        elif built is None:
+            built = payload()
+        _write_artifact(args, artifact_name, built)
 
 
 def _cmd_eig(args: argparse.Namespace) -> int:
@@ -96,9 +86,9 @@ def _cmd_eig(args: argparse.Namespace) -> int:
     value = eigenvalue(partition)
     _emit(
         args,
-        {"partition": list(partition.parts), "eigenvalue": value},
-        [str(value)],
-        [["partition", "eigenvalue"], [str(partition), str(value)]],
+        lambda: {"partition": list(partition.parts), "eigenvalue": value},
+        lambda: [str(value)],
+        lambda: [["partition", "eigenvalue"], [str(partition), str(value)]],
         "eig",
     )
     return 0
@@ -109,9 +99,12 @@ def _cmd_conj(args: argparse.Namespace) -> int:
     transposed = conjugate(partition)
     _emit(
         args,
-        {"partition": list(partition.parts), "conjugate": list(transposed.parts)},
-        [str(transposed)],
-        [["partition", "conjugate"], [str(partition), str(transposed)]],
+        lambda: {
+            "partition": list(partition.parts),
+            "conjugate": list(transposed.parts),
+        },
+        lambda: [str(transposed)],
+        lambda: [["partition", "conjugate"], [str(partition), str(transposed)]],
         "conj",
     )
     return 0
@@ -120,36 +113,60 @@ def _cmd_conj(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     constraints = EnumerationConstraints(max_first_part=args.max_first_part)
     result = spectrum(args.n, constraints)
-    payload = result.to_json_dict(with_witnesses=args.witnesses)
-    text = [" ".join(str(value) for value in result.values)]
-    rows: list[list[str]] = [["value", "witness"]]
-    if args.witnesses:
-        for value in result.values:
-            witness = result.witnesses[value]
-            text.append(f"{value}: {witness}")
-            rows.append([str(value), str(witness)])
-    else:
-        rows.extend([str(value), ""] for value in result.values)
-    _emit(args, payload, text, rows, f"spectrum_{args.n}")
+
+    def text() -> list[str]:
+        lines = [" ".join(str(value) for value in result.values)]
+        if args.witnesses:
+            witnesses = result.witnesses
+            lines.extend(f"{value}: {witnesses[value]}" for value in result.values)
+        return lines
+
+    def rows() -> list[list[str]]:
+        if args.witnesses:
+            witnesses = result.witnesses
+            body = [[str(value), str(witnesses[value])] for value in result.values]
+        else:
+            body = [[str(value), ""] for value in result.values]
+        return [["value", "witness"], *body]
+
+    _emit(
+        args,
+        lambda: result.to_json_dict(with_witnesses=args.witnesses),
+        text,
+        rows,
+        f"spectrum_{args.n}",
+    )
     return 0
 
 
 def _cmd_contains(args: argparse.Namespace) -> int:
     answer, witness = contains(args.n, args.k)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "contained": answer,
-        "witness": list(witness.parts) if witness else None,
-    }
-    text = [str(answer).lower()]
-    if witness is not None:
-        text.append(f"witness: {witness}")
-    rows = [
-        ["n", "k", "contained", "witness"],
-        [str(args.n), str(args.k), str(answer).lower(), str(witness) if witness else ""],
-    ]
-    _emit(args, payload, text, rows, f"contains_{args.n}_{args.k}")
+
+    def text() -> list[str]:
+        if witness is None:
+            return [str(answer).lower()]
+        return [str(answer).lower(), f"witness: {witness}"]
+
+    _emit(
+        args,
+        lambda: {
+            "n": args.n,
+            "k": args.k,
+            "contained": answer,
+            "witness": list(witness.parts) if witness else None,
+        },
+        text,
+        lambda: [
+            ["n", "k", "contained", "witness"],
+            [
+                str(args.n),
+                str(args.k),
+                str(answer).lower(),
+                str(witness) if witness else "",
+            ],
+        ],
+        f"contains_{args.n}_{args.k}",
+    )
     return 0
 
 
@@ -158,8 +175,27 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         record = quadratic_segment_witness(args.n, args.k)
     else:
         record = linear_segment_witness(args.n, args.k)
-    payload, text, rows = _witness_output(record)
-    _emit(args, payload, text, rows, f"witness_{args.n}_{args.k}")
+    verified = str(record.verified).lower()
+    _emit(
+        args,
+        record.to_json_dict,
+        lambda: [
+            str(record.partition),
+            f"family: {record.family}",
+            f"verified: {verified}",
+        ],
+        lambda: [
+            ["n", "target", "family", "partition", "verified"],
+            [
+                str(record.n),
+                str(record.target),
+                record.family,
+                str(record.partition),
+                verified,
+            ],
+        ],
+        f"witness_{args.n}_{args.k}",
+    )
     return 0
 
 
@@ -170,17 +206,20 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     else:
         report = linear_segment_cover(args.n)
         name = f"cover_linear_{args.n}"
-    payload = report.to_json_dict()
-    text = [
-        f"n={report.n} segment=[{report.segment[0]}, {report.segment[1]}] "
-        f"covered={report.covered} failures={len(report.failures)} "
-        f"max_first_part={report.max_first_part}"
-    ]
-    for family, count in report.histogram.items():
-        text.append(f"  {family}: {count}")
-    for target, message in report.failures:
-        text.append(f"  FAILED {target}: {message}")
-    _emit(args, payload, text, report.to_csv_rows(), name)
+
+    def text() -> list[str]:
+        lines = [
+            f"n={report.n} segment=[{report.segment[0]}, {report.segment[1]}] "
+            f"covered={report.covered} failures={len(report.failures)} "
+            f"max_first_part={report.max_first_part}"
+        ]
+        for family, count in report.histogram.items():
+            lines.append(f"  {family}: {count}")
+        for target, message in report.failures:
+            lines.append(f"  FAILED {target}: {message}")
+        return lines
+
+    _emit(args, report.to_json_dict, text, report.to_csv_rows, name)
     return 0 if not report.failures else 1
 
 
@@ -188,9 +227,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     bounds = quadratic_segment_bounds(args.n)
     _emit(
         args,
-        bounds.to_json_dict(),
-        [f"y1={bounds.y1} y2={bounds.y2}"],
-        [["n", "y1", "y2"], [str(bounds.n), str(bounds.y1), str(bounds.y2)]],
+        bounds.to_json_dict,
+        lambda: [f"y1={bounds.y1} y2={bounds.y2}"],
+        lambda: [["n", "y1", "y2"], [str(bounds.n), str(bounds.y1), str(bounds.y2)]],
         f"bounds_{args.n}",
     )
     return 0
@@ -200,26 +239,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check_ids = args.checks.split(",") if args.checks is not None else None
     reports = run_checks(check_ids, args.n_min, args.n_max)
     summary = summary_dict(reports)
-    rows = [["check_id", "n_low", "n_high", "cases_run", "cases_failed"]]
-    rows.extend(
-        [
-            report.check_id,
-            str(report.n_range[0]),
-            str(report.n_range[1]),
-            str(report.cases_run),
-            str(report.cases_failed),
-        ]
-        for report in reports
-    )
     # artifacts leave out timing so that re-runs diff clean
     untimed = [report.to_json_dict(include_elapsed=False) for report in reports]
+
+    def rows() -> list[list[str]]:
+        return [
+            ["check_id", "n_low", "n_high", "cases_run", "cases_failed"],
+            *(
+                [
+                    report.check_id,
+                    str(report.n_range[0]),
+                    str(report.n_range[1]),
+                    str(report.cases_run),
+                    str(report.cases_failed),
+                ]
+                for report in reports
+            ),
+        ]
+
     _emit(
         args,
-        summary,
-        format_table(reports).split("\n"),
+        lambda: summary,
+        lambda: format_table(reports).split("\n"),
         rows,
         "verify_summary",
-        {**summary, "reports": untimed},
+        lambda: {**summary, "reports": untimed},
     )
     if args.out is not None:
         for report, payload in zip(reports, untimed):
@@ -230,17 +274,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     report = conjecture_scan(args.n)
-    payload = report.to_json_dict(with_witnesses=True)
-    absent = [target for target, _ in report.failures]
-    text = [
-        f"n={report.n} gap=[{report.segment[0]}, {report.segment[1]}] "
-        f"present={report.covered} absent={len(absent)}"
-    ]
-    for record in report.records:
-        text.append(f"  {record.target}: {record.partition}")
-    if absent:
-        text.append("  absent: " + " ".join(str(target) for target in absent))
-    _emit(args, payload, text, report.to_csv_rows(), f"conjecture_{args.n}")
+
+    def text() -> list[str]:
+        lines = [
+            f"n={report.n} gap=[{report.segment[0]}, {report.segment[1]}] "
+            f"present={report.covered} absent={len(report.failures)}"
+        ]
+        lines.extend(
+            f"  {record.target}: {record.partition}" for record in report.records
+        )
+        if report.failures:
+            absent = " ".join(str(target) for target, _ in report.failures)
+            lines.append("  absent: " + absent)
+        return lines
+
+    _emit(
+        args,
+        lambda: report.to_json_dict(with_witnesses=True),
+        text,
+        report.to_csv_rows,
+        f"conjecture_{args.n}",
+    )
     return 0
 
 
@@ -248,15 +302,18 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     result = cayley_spectrum(args.n)
     _emit(
         args,
-        result.to_json_dict(),
-        [" ".join(str(value) for value in result.values)],
-        [["value"], *([str(value)] for value in result.values)],
+        result.to_json_dict,
+        lambda: [" ".join(str(value) for value in result.values)],
+        lambda: [["value"], *([str(value)] for value in result.values)],
         f"cayley_{args.n}",
     )
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused: every
+    parse_args returns a fresh Namespace and leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -362,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -27,8 +27,9 @@ of 2s and 1s, so a Partition with RUN_PATH_MIN_PARTS parts or more holds
 only its runs of equal parts, and validation, the flat formula and
 conjugation step once per run rather than once per part: their Python
 work is O(runs), and whatever O(n) work is left runs inside builtins.
-Below RUN_PATH_MIN_PARTS a Partition holds its tuple and the per-part
-loops, which are cheaper there, do the work.  Both forms are the actual
+Below RUN_PATH_MIN_PARTS a Partition holds its tuple, and validation and
+the flat formula use the per-part loops, which are cheaper there;
+conjugation reads runs at every length.  Both forms are the actual
 partition, never a CompactPartition, so compact_eigenvalue stays an
 independent second evaluation.
 """
@@ -176,7 +177,12 @@ class Partition:
         return self._parts[0] if self._parts else 0
 
     def __str__(self) -> str:
-        return " ".join(str(part) for part in self.parts) if self.n else "()"
+        runs = self._runs
+        if runs is None:
+            return " ".join(str(part) for part in self._parts) if self.n else "()"
+        # one join per run, not one generator step per part
+        pairs = zip(runs[::2], runs[1::2])
+        return " ".join([" ".join([str(value)] * count) for value, count in pairs])
 
 
 _new = object.__new__
@@ -297,24 +303,24 @@ def conjugate(p: Partition) -> Partition:
     A partition below RUN_PATH_MIN_PARTS parts is read run by run: when
     a run of value v follows `count` larger parts of smallest value
     `previous`, rows v+1 .. previous all have length `count`, so each run
-    emits one block (count,) * (previous - v), shortest rows first, and
-    the rows are reversed at the end.  A longer partition holds its runs,
-    and the conjugate's runs are read off them without any rows: with
-    values v_1 > ... > v_r holding c_1, ..., c_r parts, rows
-    v_(i+1) + 1 .. v_i all have length c_1 + ... + c_i.  Either result is
-    validated like any other Partition.
+    emits the block (count, previous - v) of rows, shortest rows first,
+    and the blocks are reversed and joined by _from_runs, never expanded
+    into rows.  A longer partition holds its runs, and the conjugate's
+    runs are read off them in the same way: with values v_1 > ... > v_r
+    holding c_1, ..., c_r parts, rows v_(i+1) + 1 .. v_i all have length
+    c_1 + ... + c_i.  Either result is validated like any other Partition.
     """
     if p._runs is None:
-        rows: list[int] = []
+        pairs: list[tuple[int, int]] = []
         count = 0
         previous = p.first_part
         for value, run in groupby(p._parts):
-            rows += (count,) * (previous - value)
+            pairs.append((count, previous - value))
             count += len(list(run))
             previous = value
-        rows += (count,) * previous
-        rows.reverse()
-        return Partition(rows)
+        pairs.append((count, previous))
+        pairs.reverse()
+        return _from_runs(pairs)
     runs = p._runs
     blocks: list[tuple[int, int]] = []
     length = sum(runs[1::2])

@@ -34,6 +34,7 @@ value in it without asserting anything.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
@@ -282,7 +283,7 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     # k with a residual target outside [-(n-n1), n-n1] but well inside the
     # residual spectrum's actual range.
     rescue = (head for head in range(high_head, low_head - 1, -1) if head != first)
-    for candidate in (first, *rescue):
+    for candidate in itertools.chain((first,), rescue):
         other_n = n - candidate
         other_target = k - choose2(candidate) + other_n
         if abs(other_target) > choose2(other_n):

@@ -1,11 +1,16 @@
 """Command-line interface: outputs, formats, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from tnspec.cli import run
+from tnspec import cli
+from tnspec.cli import build_parser, run
 from tnspec.oracle import clear_caches, enumerate_partitions, spectrum
 
 
@@ -371,3 +376,86 @@ class TestArtifacts:
         files = list(tmp_path.iterdir())
         assert len(files) == 1
         assert files[0].name == "witness_48_-30.json"
+
+    def test_out_receives_the_json_payload_in_every_format(self, capsys, tmp_path):
+        for argv, name in (
+            (["cover", "35"], "cover_linear_35.json"),
+            (["conjecture", "40"], "conjecture_40.json"),
+            (["spectrum", "8", "--witnesses"], "spectrum_8.json"),
+            (["witness", "60", "-7"], "witness_60_-7.json"),
+        ):
+            _, printed, _ = invoke(capsys, argv + ["--format", "json"])
+            for fmt in ("text", "csv", "json"):
+                out = tmp_path / fmt / argv[0]
+                invoke(capsys, argv + ["--format", fmt, "--out", str(out)])
+                assert (out / name).read_text() == printed, (argv, fmt)
+
+
+class TestParser:
+    """One parser per process: built on the first run, never at import, and
+    no run leaves anything in it that a later run could see."""
+
+    SEQUENCE = [
+        ["witness", "--theorem", "5", "60", "500", "--out", "{out}"],
+        ["cover", "35"],
+        ["eig"],
+        ["conjecture", "40", "--format", "json"],
+        ["--help"],
+        ["witness", "60", "-7", "--format", "csv"],
+        ["cover", "--theorem", "5", "48", "--format", "csv"],
+        ["spectrum", "8", "--witnesses"],
+        ["spectrum", "8", "--max-first-part", "0"],
+        ["spectrum", "8", "--format", "json"],
+        ["eig", "--format", "xml", "3"],
+        ["contains", "18", "4", "--format", "csv", "--out", "{out}"],
+        ["cover", "35", "--out", "{out}"],
+        ["conjecture", "40"],
+        ["cover", "35", "--format", "json"],
+        ["cover", "--help"],
+        # csv, as the text table shows timings
+        ["verify", "--checks", "first_part_bounds", "--n-min", "35", "--format", "csv"],
+        ["verify", "--checks", "first_part_bounds", "--n-max", "40", "--format", "csv"],
+        ["verify", "--format", "csv", "--checks", "family:Zero", "--out", "{out}"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv, out):
+        code = run([arg.format(out=out) for arg in argv])
+        captured = capsys.readouterr()
+        written = {}
+        if out.exists():
+            written = {path.name: path.read_bytes() for path in out.iterdir()}
+        return code, captured.out, captured.err, written
+
+    def test_each_run_prints_what_it_prints_alone(self, capsys, tmp_path):
+        alone = []
+        for index, argv in enumerate(self.SEQUENCE):
+            build_parser.cache_clear()  # a fresh parser, as in a new process
+            alone.append(self.outcome(capsys, argv, tmp_path / f"alone_{index}"))
+        assert {code for code, *_ in alone} == {0, 1, 2}
+        parser = build_parser()
+        for repeat in range(2):
+            for index, argv in enumerate(self.SEQUENCE):
+                out = tmp_path / f"shared_{repeat}_{index}"
+                assert self.outcome(capsys, argv, out) == alone[index], argv
+        assert build_parser() is parser
+        assert build_parser.cache_info().misses == 1
+
+    def test_importing_builds_no_parser(self):
+        probe = (
+            "import sys, tnspec; print('tnspec.cli' in sys.modules); "
+            "import tnspec.cli; print(tnspec.cli.build_parser.cache_info().currsize)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.split() == ["False", "0"]

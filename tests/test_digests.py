@@ -1,12 +1,15 @@
-"""Golden digests: the stdout of eleven CLI commands, byte for byte.
+"""Golden digests: the stdout of twenty CLI commands, byte for byte.
 
 Each digest is the sha256 of the concatenated stdout of `cli.run` over one
 range of its `{n}` placeholder.  A change that alters any of these outputs
-must say so and record the new digest here.  The two `cover` entries pin
-witness bytes on short ranges: N = 31..80, and `--theorem 5` for
+must say so and record the new digest here.  The two `cover` csv entries
+pin witness bytes on short ranges: N = 31..80, and `--theorem 5` for
 N = 48..60, which takes the rescue path at (48, 413) and many oracle tails.
-The three `witness` entries pin conjugated witnesses of 500 to 1000 parts,
-at n = 2001 and 2000 and, behind a head, on the quadratic segment at 1500.
+The three `witness` csv entries pin conjugated witnesses of 500 to 1000
+parts, at n = 2001 and 2000 and, behind a head, on the quadratic segment at
+1500.  The last nine entries pin every format a command renders on its own
+path: `cover` in text and json, `conjecture` in text and csv, `spectrum
+--witnesses` in text and csv, `witness` in text and `contains` in csv.
 The full `cover` ranges (N = 31..300, and `--theorem 5` for N = 48..300)
 take about 6 s and 90 s, so they are checked by hand, not here.
 """
@@ -72,6 +75,51 @@ GOLDEN = [
         ["witness", "--theorem", "5", "1500", "-{n}", "--format", "csv"],
         range(123252, 499501, 4001),
         "6f54683a177162da27e323f65c3ad7cb4e8caff971d5a3179ae5119193eb0513",
+    ),
+    (
+        ["cover", "{n}"],
+        range(31, 81),
+        "2ab6b957ddeb3fa93d2d3d55dd89604f3d96d68225c76a83b3e9f2a71a965f69",
+    ),
+    (
+        ["cover", "{n}", "--format", "json"],
+        range(31, 81),
+        "87d1f2cc002afbd5141dd1c64a28b61e016727723e5e0aa56decad77b94f4780",
+    ),
+    (
+        ["cover", "--theorem", "5", "{n}"],
+        range(48, 61),
+        "05c99aa1b7ec9239d91b540a8a4777f62cd9a6df7f0ca62d65bea8549265fd7f",
+    ),
+    (
+        ["conjecture", "{n}"],
+        range(31, 51),
+        "4fe1dfca4b00e4c9a6e6a1729a1f8acb6128417e1d1c09120c4878961878ccfc",
+    ),
+    (
+        ["conjecture", "{n}", "--format", "csv"],
+        range(31, 51),
+        "f9b041d0125d11086a3bb1b9d0e29e5e4b26b309ed14edba97a291221fc8b8a5",
+    ),
+    (
+        ["spectrum", "{n}", "--witnesses"],
+        range(1, 46),
+        "463427c9df0e1ab01c7a2803e7214d5b9180d2576285aca4be7b784b5d8811c4",
+    ),
+    (
+        ["spectrum", "{n}", "--witnesses", "--format", "csv"],
+        range(1, 46),
+        "3e67bdeba2ab44f374b4fe1f0cfdfa3eb6dd364ea658877bcc657577ffba1c0d",
+    ),
+    (
+        ["witness", "2000", "-{n}"],
+        range(1, 2001, 23),
+        "38499679ab7d09c1f768ac0309ce0c7299366b03c4549d943e483c156f361499",
+    ),
+    (
+        ["contains", "{n}", "16", "--format", "csv"],
+        range(1, 46),
+        "0e9528f909354a2263039efb326c5c946a82c64548a07200e38bbb3e56e35a63",
     ),
 ]
 

@@ -189,6 +189,27 @@ class TestConjugate:
             for p in enumerate_partitions(n):
                 assert conjugate(p).parts == transpose_young_diagram(p.parts)
 
+    def test_matches_young_diagram_transpose_to_30(self):
+        # first parts up to 30 cross RUN_PATH_MIN_PARTS: a short partition's
+        # conjugate is built from its runs and held as runs only when long
+        for n in range(13, 31):
+            for p in enumerate_partitions(n):
+                q = conjugate(p)
+                assert q.parts == transpose_young_diagram(p.parts)
+                assert (q._runs is None) is (len(q) < RUN_PATH_MIN_PARTS)
+
+    @pytest.mark.parametrize("first", [23, 24, 25])
+    @pytest.mark.parametrize(
+        "rest", [(), (1,) * 3, (5, 5, 2, 1), (2,) * 30 + (1,) * 10, (23, 23, 23)]
+    )
+    def test_first_parts_around_the_threshold(self, first, rest):
+        parts = (first,) + tuple(part for part in rest if part <= first)
+        q = conjugate(Partition(parts))
+        assert q.parts == transpose_young_diagram(parts)
+        assert (q._runs is None) is (first < RUN_PATH_MIN_PARTS)
+        assert conjugate(q).parts == parts
+        assert eigenvalue(q) == -eigenvalue(Partition(parts))
+
     def test_involution_and_antisymmetry_exhaustive(self):
         for n in range(1, 13):
             for p in enumerate_partitions(n):
@@ -282,6 +303,10 @@ class TestRunStorage:
         assert p == Partition(list(parts)) and p != Partition(parts + (1,))
         assert pickle.loads(pickle.dumps(p)) == p
         assert copy.deepcopy(p) == p
+
+    def test_str_of_the_empty_partition(self):
+        # test_behaves_like_its_tuple checks str on both sides of the threshold
+        assert str(EMPTY_PARTITION) == "()"
 
     @settings(max_examples=60, deadline=None)
     @given(long_parts_st.filter(lambda parts: len(parts) >= RUN_PATH_MIN_PARTS))
