@@ -13,12 +13,16 @@ cover every integer target k in [0, n]:
 * A2 rows     — the top seven targets n-6 .. n.
 
 FAMILY_REGISTRY is the only description of which family serves which
-target.  Some target sets overlap, so the linear driver takes the first
+target.  Every row but Zero is affine data: within its class of n, each
+part count of its shape is (a*n + b*k + c)/d and each end of its target
+range is (a*n + c)/d, read by one interpreter that refuses inexact
+divisions.  Some target sets overlap, so the linear driver takes the first
 family, in one fixed priority order declared next to the registry rows,
 whose targets contain k; for n >= 31 that tiles [0, n].  A query does not
 scan the families for that: it bisects a table of cells over k whose
 starts are affine in n, derived on first use from the registry's range
-endpoints; the ordered scan stays as the table's reference.
+endpoints, which are affine by construction; the ordered scan stays as
+the table's reference.
 
 Every builder checks the run-length evaluation of its shape against the
 target, which costs O(head).  The flat eigenvalue formula re-checks each
@@ -157,9 +161,9 @@ def make_witness(
 
 # --- family shapes ---------------------------------------------------------
 #
-# Builders assume (n, lam) already admissible (build_family checks); they
-# use floor division only where the admissibility conditions make the
-# division exact.
+# _affine turns the coefficients of one row into its targets and build
+# callables.  Zero is written by hand: its shape switches on the parity of
+# n, and at n = 1 it is (1), which a head cannot hold.
 
 
 def _zero(n: int, lam: int) -> CompactPartition:
@@ -170,89 +174,8 @@ def _zero(n: int, lam: int) -> CompactPartition:
     return CompactPartition((n // 2,), 1, (n - 4) // 2)
 
 
-def _s1_low_odd(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        ((n - 2 * lam + 1) // 2, lam + 2), lam - 1, (n - 4 * lam - 1) // 2
-    )
-
-
-def _s1_one_even(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(((n - 6) // 2, 4, 4), 1, (n - 14) // 2)
-
-
-def _s1_low_even(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        ((n - 2 * lam) // 2, lam + 2, 3), lam - 2, (n - 4 * lam - 2) // 2
-    )
-
-
-def _s1_mid_odd(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        (lam + 1, (n + 3 - 2 * lam) // 2), (n - 1) // 2 - lam, (4 * lam - n - 3) // 2
-    )
-
-
-def _s1_mid_even(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        (lam + 1, (n + 2 - 2 * lam) // 2, 3),
-        (n - 4) // 2 - lam,
-        (4 * lam - n - 2) // 2,
-    )
-
-
-def _s1_special_mod0(n: int, lam: int) -> CompactPartition:
-    return CompactPartition((n // 4, n // 4, 5, 4), (n - 20) // 4, 1)
-
-
-def _s1_special_mod1(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(((n + 3) // 4, (n + 3) // 4, 4), (n - 13) // 4, 1)
-
-
-def _s1_special_mod2(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(((n + 2) // 4, (n - 2) // 4, 5, 4), (n - 22) // 4, 2)
-
-
-def _s1_special_mod3(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(((n + 1) // 4, (n + 1) // 4, 5, 3), (n - 19) // 4, 1)
-
-
-def _s2_case1(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        ((lam + 3) // 2, (n + 2 - lam) // 2, 3),
-        (n - 4 - lam) // 2,
-        lam - (n + 3) // 2,
-    )
-
-
-def _s2_case2(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        (lam // 2, (n + 3 - lam) // 2, 5), (n - 3 - lam) // 2, lam - (n + 7) // 2
-    )
-
-
-def _s2_case3(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        ((lam + 3) // 2, (n + 3 - lam) // 2), (n - 1 - lam) // 2, lam - (n + 4) // 2
-    )
-
-
-def _s2_case4(n: int, lam: int) -> CompactPartition:
-    return CompactPartition(
-        (lam // 2 + 1, (n + 2 - lam) // 2, 4), (n - 4 - lam) // 2, lam - (n + 4) // 2
-    )
-
-
-# --- admissible target sets ------------------------------------------------
-#
 # Target sets are ranges, so membership is O(1) and costs no allocation.
-
 _NO_TARGETS = range(0)
-
-
-def _parity_range(lo: int, hi: int, parity: int) -> range:
-    """Integers of the given parity in [lo, hi]."""
-    start = lo if lo % 2 == parity else lo + 1
-    return range(start, hi + 1, 2)
 
 
 def _targets_zero(n: int) -> range:
@@ -261,38 +184,12 @@ def _targets_zero(n: int) -> range:
     return _NO_TARGETS
 
 
-def _targets_s1_low_odd(n: int) -> range:
-    return range(1, (n - 3) // 4 + 1)
-
-
-def _targets_s1_low_even(n: int) -> range:
-    return range(2, (n - 4) // 4 + 1)
-
-
-def _targets_s1_mid_odd(n: int) -> range:
-    return range(-(-(n + 3) // 4), (n - 1) // 2 + 1)
-
-
-def _targets_s1_mid_even(n: int) -> range:
-    return range(-(-(n + 2) // 4), (n - 4) // 2 + 1)
-
-
-def _special_target(residue: int) -> Callable[[int], range]:
-    """The single crossover target, admissible only when n % 4 == residue."""
-
-    def targets(n: int) -> range:
-        if n % 4 != residue:
-            return _NO_TARGETS
-        crossover = (n - 3) // 4 + 1
-        return range(crossover, crossover + 1)
-
-    return targets
-
-
-def _eighth(value: int) -> int:
-    quotient, rem = divmod(value, 8)
+def _exact(value: int, divisor: int) -> int:
+    quotient, rem = divmod(value, divisor)
     if rem:
-        raise ParityViolationError(f"polynomial value {value} is not divisible by 8")
+        raise ParityViolationError(
+            f"polynomial value {value} is not divisible by {divisor}"
+        )
     return quotient
 
 
@@ -306,8 +203,9 @@ def _s2_forms(
     """
 
     def forms(n: int, lam: int) -> tuple[int, int]:
-        head = _eighth(
-            n * n + head_nl * n * lam + head_n * n + 2 * lam * lam + head_l * lam + head_c
+        head = _exact(
+            n * n + head_nl * n * lam + head_n * n + 2 * lam * lam + head_l * lam + head_c,
+            8,
         )
         return head, head - lam
 
@@ -320,8 +218,8 @@ def _row_forms(
     """Closed forms for an A1/A2 row: eighths of quadratics in n alone."""
 
     def forms(n: int, lam: int) -> tuple[int, int]:
-        head = _eighth(n * n + head_b * n + head_c)
-        deduction = _eighth(n * n + f_b * n + f_c)
+        head = _exact(n * n + head_b * n + head_c, 8)
+        deduction = _exact(n * n + f_b * n + f_c, 8)
         return head, deduction
 
     return forms
@@ -340,261 +238,194 @@ class FamilySpec:
     closed_forms: Callable[[int, int], tuple[int, int]] | None = None
 
 
-def _head_row(
-    parts_fn: Callable[[int], tuple[int, ...]], ones_fn: Callable[[int], int]
-) -> Callable[[int, int], CompactPartition]:
-    def build(n: int, lam: int) -> CompactPartition:
-        return CompactPartition(parts_fn(n), 0, ones_fn(n))
+# A shape entry: a constant, or (a, b, c, d) for (a*n + b*lam + c)/d.
+_Entry = int | tuple[int, int, int, int]
+# A target-range end: (a, c, d) for (a*n + c)/d.
+_End = tuple[int, int, int]
 
-    return build
+_ODD = (2, 1)
+_EVEN = (2, 0)
 
 
-def _const_target(target_fn: Callable[[int], int]) -> Callable[[int], range]:
+def _affine(
+    family: FamilyId,
+    group: str,
+    n_class: tuple[int, int],
+    n_min: int,
+    low: _End,
+    high: _End,
+    head: tuple[_Entry, ...],
+    twos: _Entry,
+    ones: _Entry,
+    lam_parity: int | None = None,
+    closed_forms: Callable[[int, int], tuple[int, int]] | None = None,
+) -> FamilySpec:
+    """The registry row of a family given as affine data.
+
+    With n_class = (modulus, residue), the family serves n = residue (mod
+    modulus) from n_min on.  Its targets run from low, rounded up, to
+    high, rounded down, keeping only lam = lam_parity (mod 2) if that is
+    given.  Its shape is CompactPartition(head, twos, ones) with every
+    entry evaluated at (n, lam); an entry that does not divide exactly
+    raises ParityViolationError.
+    """
+    modulus, residue = n_class
+    coefficients = tuple(
+        (0, 0, entry, 1) if isinstance(entry, int) else entry
+        for entry in (*head, twos, ones)
+    )
+    entry_names = [f"head[{i}]" for i in range(len(head))] + ["twos", "ones"]
+    (low_a, low_c, low_d), (high_a, high_c, high_d) = low, high
+
     def targets(n: int) -> range:
-        target = target_fn(n)
-        return range(target, target + 1)
+        if n % modulus != residue:
+            return _NO_TARGETS
+        start = -(-(low_a * n + low_c) // low_d)
+        stop = (high_a * n + high_c) // high_d + 1
+        if lam_parity is None:
+            return range(start, stop)
+        return range(start + (start - lam_parity) % 2, stop, 2)
 
-    return targets
+    def build(n: int, lam: int) -> CompactPartition:
+        values: list[int] = []
+        for a, b, c, d in coefficients:
+            value = a * n + b * lam + c
+            if value % d:
+                raise ParityViolationError(
+                    f"{family.value}: {entry_names[len(values)]} = "
+                    f"({a}n + {b}lam + {c})/{d} is not an integer at n = {n}, "
+                    f"target {lam}"
+                )
+            values.append(value // d)
+        return CompactPartition(tuple(values[:-2]), values[-2], values[-1])
+
+    return FamilySpec(family, group, residue % 2, n_min, targets, build, closed_forms)
 
 
+def _row(
+    family: FamilyId,
+    group: str,
+    n_parity: int,
+    n_min: int,
+    target: _End,
+    head: tuple[_Entry, ...],
+    ones: _Entry,
+    closed_forms: Callable[[int, int], tuple[int, int]],
+) -> FamilySpec:
+    """An A1/A2 row: one target, and a shape in n alone with no 2-run."""
+    return _affine(
+        family, group, (2, n_parity), n_min, target, target, head, 0, ones,
+        closed_forms=closed_forms,
+    )
+
+
+F = FamilyId
 _REGISTRY_ROWS: tuple[FamilySpec, ...] = (
-    FamilySpec(FamilyId.ZERO, "S1", None, 1, _targets_zero, _zero),
-    FamilySpec(FamilyId.S1_LOW_ODD, "S1", 1, 7, _targets_s1_low_odd, _s1_low_odd),
-    FamilySpec(
-        FamilyId.S1_ONE_EVEN, "S1", 0, 14, lambda n: range(1, 2), _s1_one_even
+    FamilySpec(F.ZERO, "S1", None, 1, _targets_zero, _zero),
+    # S1 low and mid: the targets below and above the crossover
+    # (n - 3)//4 + 1; on even n, S1_one_even takes target 1
+    _affine(
+        F.S1_LOW_ODD, "S1", _ODD, 7, (0, 1, 1), (1, -3, 4),
+        ((1, -2, 1, 2), (0, 1, 2, 1)), (0, 1, -1, 1), (1, -4, -1, 2),
     ),
-    FamilySpec(FamilyId.S1_LOW_EVEN, "S1", 0, 12, _targets_s1_low_even, _s1_low_even),
-    FamilySpec(FamilyId.S1_MID_ODD, "S1", 1, 5, _targets_s1_mid_odd, _s1_mid_odd),
-    FamilySpec(FamilyId.S1_MID_EVEN, "S1", 0, 10, _targets_s1_mid_even, _s1_mid_even),
-    FamilySpec(
-        FamilyId.S1_SPECIAL_MOD0, "S1", 0, 20, _special_target(0), _s1_special_mod0
+    _affine(
+        F.S1_ONE_EVEN, "S1", _EVEN, 14, (0, 1, 1), (0, 1, 1),
+        ((1, 0, -6, 2), 4, 4), 1, (1, 0, -14, 2),
     ),
-    FamilySpec(
-        FamilyId.S1_SPECIAL_MOD1, "S1", 1, 13, _special_target(1), _s1_special_mod1
+    _affine(
+        F.S1_LOW_EVEN, "S1", _EVEN, 12, (0, 2, 1), (1, -4, 4),
+        ((1, -2, 0, 2), (0, 1, 2, 1), 3), (0, 1, -2, 1), (1, -4, -2, 2),
     ),
-    FamilySpec(
-        FamilyId.S1_SPECIAL_MOD2, "S1", 0, 22, _special_target(2), _s1_special_mod2
+    _affine(
+        F.S1_MID_ODD, "S1", _ODD, 5, (1, 3, 4), (1, -1, 2),
+        ((0, 1, 1, 1), (1, -2, 3, 2)), (1, -2, -1, 2), (-1, 4, -3, 2),
     ),
-    FamilySpec(
-        FamilyId.S1_SPECIAL_MOD3, "S1", 1, 19, _special_target(3), _s1_special_mod3
+    _affine(
+        F.S1_MID_EVEN, "S1", _EVEN, 10, (1, 2, 4), (1, -4, 2),
+        ((0, 1, 1, 1), (1, -2, 2, 2), 3), (1, -2, -4, 2), (-1, 4, -2, 2),
     ),
-    FamilySpec(
-        FamilyId.S2_CASE1,
-        "S2",
-        1,
-        11,
-        lambda n: _parity_range((n + 3) // 2, n - 4, 1),
-        _s2_case1,
-        _s2_forms(-2, -2, -29, 6),
+    # S1 special: the crossover target alone, one shape per n mod 4
+    _affine(
+        F.S1_SPECIAL_MOD0, "S1", (4, 0), 20, (1, 0, 4), (1, 0, 4),
+        ((1, 0, 0, 4), (1, 0, 0, 4), 5, 4), (1, 0, -20, 4), 1,
     ),
-    FamilySpec(
-        FamilyId.S2_CASE2,
-        "S2",
-        1,
-        21,
-        lambda n: _parity_range((n + 7) // 2, n - 7, 0),
-        _s2_case2,
-        _s2_forms(0, -2, -9, -2),
+    _affine(
+        F.S1_SPECIAL_MOD1, "S1", (4, 1), 13, (1, -1, 4), (1, -1, 4),
+        ((1, 0, 3, 4), (1, 0, 3, 4), 4), (1, 0, -13, 4), 1,
     ),
-    FamilySpec(
-        FamilyId.S2_CASE3,
-        "S2",
-        0,
-        6,
-        lambda n: _parity_range((n + 4) // 2, n - 1, 1),
-        _s2_case3,
-        _s2_forms(0, -2, -6, 4),
+    _affine(
+        F.S1_SPECIAL_MOD2, "S1", (4, 2), 22, (1, -2, 4), (1, -2, 4),
+        ((1, 0, 2, 4), (1, 0, -2, 4), 5, 4), (1, 0, -22, 4), 2,
     ),
-    FamilySpec(
-        FamilyId.S2_CASE4,
-        "S2",
-        0,
-        16,
-        lambda n: _parity_range((n + 4) // 2, n - 6, 0),
-        _s2_case4,
-        _s2_forms(-2, -2, -24, 4),
+    _affine(
+        F.S1_SPECIAL_MOD3, "S1", (4, 3), 19, (1, 1, 4), (1, 1, 4),
+        ((1, 0, 1, 4), (1, 0, 1, 4), 5, 3), (1, 0, -19, 4), 1,
     ),
-    FamilySpec(
-        FamilyId.A1_ROW1_ODD,
-        "A1",
-        1,
-        25,
-        _const_target(lambda n: (n + 1) // 2),
-        _head_row(lambda n: ((n - 11) // 2, 7, 4, 3, 3), lambda n: (n - 23) // 2),
-        _row_forms(-24, 119, -28, 115),
+    # S2: one case per parity of n and of the target
+    _affine(
+        F.S2_CASE1, "S2", _ODD, 11, (1, 3, 2), (1, -4, 1),
+        ((0, 1, 3, 2), (1, -1, 2, 2), 3), (1, -1, -4, 2), (-1, 2, -3, 2),
+        lam_parity=1, closed_forms=_s2_forms(-2, -2, -29, 6),
     ),
-    FamilySpec(
-        FamilyId.A1_ROW2_ODD,
-        "A1",
-        1,
-        9,
-        _const_target(lambda n: (n + 3) // 2),
-        _head_row(lambda n: ((n - 1) // 2, 4), lambda n: (n - 7) // 2),
-        _row_forms(-4, 19, -8, 7),
+    _affine(
+        F.S2_CASE2, "S2", _ODD, 21, (1, 7, 2), (1, -7, 1),
+        ((0, 1, 0, 2), (1, -1, 3, 2), 5), (1, -1, -3, 2), (-1, 2, -7, 2),
+        lam_parity=0, closed_forms=_s2_forms(0, -2, -9, -2),
     ),
-    FamilySpec(
-        FamilyId.A1_ROW3_ODD,
-        "A1",
-        1,
-        13,
-        _const_target(lambda n: (n + 5) // 2),
-        _head_row(lambda n: ((n - 3) // 2, 5, 2), lambda n: (n - 11) // 2),
-        _row_forms(-8, 31, -12, 11),
+    _affine(
+        F.S2_CASE3, "S2", _EVEN, 6, (1, 4, 2), (1, -1, 1),
+        ((0, 1, 3, 2), (1, -1, 3, 2)), (1, -1, -1, 2), (-1, 2, -4, 2),
+        lam_parity=1, closed_forms=_s2_forms(0, -2, -6, 4),
     ),
-    FamilySpec(
-        FamilyId.A1_ROW1_EVEN,
-        "A1",
-        0,
-        32,
-        _const_target(lambda n: (n - 2) // 2),
-        _head_row(lambda n: ((n - 16) // 2, 8, 5, 4, 3, 3), lambda n: (n - 30) // 2),
-        _row_forms(-34, 232, -38, 240),
+    _affine(
+        F.S2_CASE4, "S2", _EVEN, 16, (1, 4, 2), (1, -6, 1),
+        ((0, 1, 2, 2), (1, -1, 2, 2), 4), (1, -1, -4, 2), (-1, 2, -4, 2),
+        lam_parity=0, closed_forms=_s2_forms(-2, -2, -24, 4),
     ),
-    FamilySpec(
-        FamilyId.A1_ROW2_EVEN,
-        "A1",
-        0,
-        2,
-        _const_target(lambda n: n // 2),
-        _head_row(lambda n: ((n + 2) // 2,), lambda n: (n - 2) // 2),
-        _row_forms(2, 0, -2, 0),
-    ),
-    FamilySpec(
-        FamilyId.A1_ROW3_EVEN,
-        "A1",
-        0,
-        28,
-        _const_target(lambda n: (n + 2) // 2),
-        _head_row(lambda n: ((n - 12) // 2, 8, 3, 3, 3, 2), lambda n: (n - 26) // 2),
-        _row_forms(-26, 112, -30, 104),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N_ODD,
-        "A2",
-        1,
-        3,
-        _const_target(lambda n: n),
-        _head_row(lambda n: ((n + 3) // 2,), lambda n: (n - 3) // 2),
-        _row_forms(4, 3, -4, 3),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N1_ODD,
-        "A2",
-        1,
-        7,
-        _const_target(lambda n: n - 1),
-        _head_row(lambda n: ((n + 1) // 2, 3), lambda n: (n - 7) // 2),
-        _row_forms(0, -1, -8, 7),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N2_ODD,
-        "A2",
-        1,
-        11,
-        _const_target(lambda n: n - 2),
-        _head_row(lambda n: ((n - 1) // 2, 4, 2), lambda n: (n - 11) // 2),
-        _row_forms(-4, -5, -12, 11),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N3_ODD,
-        "A2",
-        1,
-        9,
-        _const_target(lambda n: n - 3),
-        _head_row(lambda n: ((n + 1) // 2, 2, 2), lambda n: (n - 9) // 2),
-        _row_forms(0, -33, -8, -9),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N4_ODD,
-        "A2",
-        1,
-        11,
-        _const_target(lambda n: n - 4),
-        _head_row(lambda n: ((n - 1) // 2, 3, 3), lambda n: (n - 11) // 2),
-        _row_forms(-4, -21, -12, 11),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N5_ODD,
-        "A2",
-        1,
-        19,
-        _const_target(lambda n: n - 5),
-        _head_row(lambda n: ((n - 7) // 2, 5, 5, 3), lambda n: (n - 19) // 2),
-        _row_forms(-16, 55, -24, 95),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N6_ODD,
-        "A2",
-        1,
-        13,
-        _const_target(lambda n: n - 6),
-        _head_row(lambda n: ((n - 1) // 2, 3, 2, 2), lambda n: (n - 13) // 2),
-        _row_forms(-4, -61, -12, -13),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N_EVEN,
-        "A2",
-        0,
-        8,
-        _const_target(lambda n: n),
-        _head_row(lambda n: (n // 2, 4), lambda n: (n - 8) // 2),
-        _row_forms(-2, 16, -10, 16),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N1_EVEN,
-        "A2",
-        0,
-        6,
-        _const_target(lambda n: n - 1),
-        _head_row(lambda n: ((n + 2) // 2, 2), lambda n: (n - 6) // 2),
-        _row_forms(2, -8, -6, 0),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N2_EVEN,
-        "A2",
-        0,
-        20,
-        _const_target(lambda n: n - 2),
-        _head_row(lambda n: ((n - 8) // 2, 6, 5, 3), lambda n: (n - 20) // 2),
-        _row_forms(-18, 104, -26, 120),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N3_EVEN,
-        "A2",
-        0,
-        10,
-        _const_target(lambda n: n - 3),
-        _head_row(lambda n: (n // 2, 3, 2), lambda n: (n - 10) // 2),
-        _row_forms(-2, -24, -10, 0),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N4_EVEN,
-        "A2",
-        0,
-        16,
-        _const_target(lambda n: n - 4),
-        _head_row(lambda n: ((n - 4) // 2, 5, 3, 2), lambda n: (n - 16) // 2),
-        _row_forms(-10, 0, -18, 32),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N5_EVEN,
-        "A2",
-        0,
-        14,
-        _const_target(lambda n: n - 5),
-        _head_row(lambda n: ((n - 2) // 2, 4, 2, 2), lambda n: (n - 14) // 2),
-        _row_forms(-6, -40, -14, 0),
-    ),
-    FamilySpec(
-        FamilyId.A2_ROW_N6_EVEN,
-        "A2",
-        0,
-        12,
-        _const_target(lambda n: n - 6),
-        _head_row(lambda n: (n // 2, 2, 2, 2), lambda n: (n - 12) // 2),
-        _row_forms(-2, -72, -10, -24),
-    ),
+    # A1: the three targets straddling n/2
+    _row(F.A1_ROW1_ODD, "A1", 1, 25, (1, 1, 2), ((1, 0, -11, 2), 7, 4, 3, 3),
+         (1, 0, -23, 2), _row_forms(-24, 119, -28, 115)),
+    _row(F.A1_ROW2_ODD, "A1", 1, 9, (1, 3, 2), ((1, 0, -1, 2), 4),
+         (1, 0, -7, 2), _row_forms(-4, 19, -8, 7)),
+    _row(F.A1_ROW3_ODD, "A1", 1, 13, (1, 5, 2), ((1, 0, -3, 2), 5, 2),
+         (1, 0, -11, 2), _row_forms(-8, 31, -12, 11)),
+    _row(F.A1_ROW1_EVEN, "A1", 0, 32, (1, -2, 2), ((1, 0, -16, 2), 8, 5, 4, 3, 3),
+         (1, 0, -30, 2), _row_forms(-34, 232, -38, 240)),
+    _row(F.A1_ROW2_EVEN, "A1", 0, 2, (1, 0, 2), ((1, 0, 2, 2),),
+         (1, 0, -2, 2), _row_forms(2, 0, -2, 0)),
+    _row(F.A1_ROW3_EVEN, "A1", 0, 28, (1, 2, 2), ((1, 0, -12, 2), 8, 3, 3, 3, 2),
+         (1, 0, -26, 2), _row_forms(-26, 112, -30, 104)),
+    # A2: the top seven targets n - 6 .. n
+    _row(F.A2_ROW_N_ODD, "A2", 1, 3, (1, 0, 1), ((1, 0, 3, 2),),
+         (1, 0, -3, 2), _row_forms(4, 3, -4, 3)),
+    _row(F.A2_ROW_N1_ODD, "A2", 1, 7, (1, -1, 1), ((1, 0, 1, 2), 3),
+         (1, 0, -7, 2), _row_forms(0, -1, -8, 7)),
+    _row(F.A2_ROW_N2_ODD, "A2", 1, 11, (1, -2, 1), ((1, 0, -1, 2), 4, 2),
+         (1, 0, -11, 2), _row_forms(-4, -5, -12, 11)),
+    _row(F.A2_ROW_N3_ODD, "A2", 1, 9, (1, -3, 1), ((1, 0, 1, 2), 2, 2),
+         (1, 0, -9, 2), _row_forms(0, -33, -8, -9)),
+    _row(F.A2_ROW_N4_ODD, "A2", 1, 11, (1, -4, 1), ((1, 0, -1, 2), 3, 3),
+         (1, 0, -11, 2), _row_forms(-4, -21, -12, 11)),
+    _row(F.A2_ROW_N5_ODD, "A2", 1, 19, (1, -5, 1), ((1, 0, -7, 2), 5, 5, 3),
+         (1, 0, -19, 2), _row_forms(-16, 55, -24, 95)),
+    _row(F.A2_ROW_N6_ODD, "A2", 1, 13, (1, -6, 1), ((1, 0, -1, 2), 3, 2, 2),
+         (1, 0, -13, 2), _row_forms(-4, -61, -12, -13)),
+    _row(F.A2_ROW_N_EVEN, "A2", 0, 8, (1, 0, 1), ((1, 0, 0, 2), 4),
+         (1, 0, -8, 2), _row_forms(-2, 16, -10, 16)),
+    _row(F.A2_ROW_N1_EVEN, "A2", 0, 6, (1, -1, 1), ((1, 0, 2, 2), 2),
+         (1, 0, -6, 2), _row_forms(2, -8, -6, 0)),
+    _row(F.A2_ROW_N2_EVEN, "A2", 0, 20, (1, -2, 1), ((1, 0, -8, 2), 6, 5, 3),
+         (1, 0, -20, 2), _row_forms(-18, 104, -26, 120)),
+    _row(F.A2_ROW_N3_EVEN, "A2", 0, 10, (1, -3, 1), ((1, 0, 0, 2), 3, 2),
+         (1, 0, -10, 2), _row_forms(-2, -24, -10, 0)),
+    _row(F.A2_ROW_N4_EVEN, "A2", 0, 16, (1, -4, 1), ((1, 0, -4, 2), 5, 3, 2),
+         (1, 0, -16, 2), _row_forms(-10, 0, -18, 32)),
+    _row(F.A2_ROW_N5_EVEN, "A2", 0, 14, (1, -5, 1), ((1, 0, -2, 2), 4, 2, 2),
+         (1, 0, -14, 2), _row_forms(-6, -40, -14, 0)),
+    _row(F.A2_ROW_N6_EVEN, "A2", 0, 12, (1, -6, 1), ((1, 0, 0, 2), 2, 2, 2),
+         (1, 0, -12, 2), _row_forms(-2, -72, -10, -24)),
 )
+del F
 
 FAMILY_REGISTRY: dict[FamilyId, FamilySpec] = {
     row.family: row for row in _REGISTRY_ROWS
@@ -610,14 +441,14 @@ def _group(group: str) -> tuple[FamilyId, ...]:
 # other families, and the order settles each overlap:
 # * A1 wins over S2_case1 at (n+3)/2 and (n+5)/2 for odd n;
 # * A2 wins over S2 at n-6 and n-4 for odd n, and at n-5, n-3 and n-1
-#   for even n;
-# * S2 keeps n-6 for even n, so A2_row_n-6_even comes last.
+#   for even n.
+# A2_row_n-6_even is left out: for every even n >= 16 S2_case4 covers n-6,
+# so it would never serve a query.  It stays in the registry and is swept.
 _DISPATCH_ORDER: tuple[FamilyId, ...] = (
     *_group("S1"),
     *_group("A1"),
     *(family for family in _group("A2") if family is not FamilyId.A2_ROW_N6_EVEN),
     *_group("S2"),
-    FamilyId.A2_ROW_N6_EVEN,
 )
 
 # The same order without the families of the other parity of n, for which
@@ -691,14 +522,16 @@ def _scan_family(n: int, lam: int) -> FamilyId | None:
 
 # --- dispatch cells ----------------------------------------------------------
 #
-# Fix the class (n mod 8, lam mod 2).  Every range endpoint is a floor
-# quotient (n + c) // d with d in {1, 2, 4}, so within the class each
-# endpoint, and with it each point where the first covering family
-# changes, is affine in n.  The targets of one parity therefore split into
-# cells [start_i, start_{i+1}) with one owner each and starts affine in n,
-# and a query is a bisect over the starts.  The cells are read off the
-# range endpoints at two sample n per class and checked there against each
-# other; tests compare the bisect with the reference scan.
+# Fix the class (n mod 8, lam mod 2).  Every range endpoint is a rounded
+# quotient (a*n + c)/d with d in {1, 2, 4}: the registry rows are affine by
+# construction, and Zero's endpoints are constant.  The cell derivation
+# relies on that: within the class each endpoint, and with it each point
+# where the first covering family changes, is affine in n.  The targets of
+# one parity therefore split into cells [start_i, start_{i+1}) with one
+# owner each and starts affine in n, and a query is a bisect over the
+# starts.  The cells are read off the range endpoints at two sample n per
+# class and checked there against each other; tests compare the bisect
+# with the reference scan.
 
 _CELL_PERIOD = 8
 

@@ -12,6 +12,9 @@ path: `cover` in text and json, `conjecture` in text and csv, `spectrum
 --witnesses` in text and csv, `witness` in text and `contains` in csv.
 The full `cover` ranges (N = 31..300, and `--theorem 5` for N = 48..300)
 take about 6 s and 90 s, so they are checked by hand, not here.
+
+REGISTRY_DIGEST pins every family's shape, byte for byte, for every target
+it serves at n = 1..400, far past the n <= 80 soundness sweeps.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ import hashlib
 import pytest
 
 from tnspec.cli import run
+from tnspec.families import FamilyId, build_family, family_targets
 
 GOLDEN = [
     (
@@ -133,3 +137,19 @@ def test_stdout_digest(capsys, argv, ns, digest):
         assert run([arg.format(n=n) for arg in argv]) == 0
         out.append(capsys.readouterr().out)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
+# One line "family n lam head... twos ones" per (family, n, lam), families in
+# FamilyId order, n = 1..400, lam in family_targets order: 81 898 lines.
+REGISTRY_DIGEST = "6c2d841485f27a8f4e2d2de6223d773600f0049005c28f2fc7b82353f8640587"
+
+
+def test_registry_digest():
+    lines = []
+    for family in FamilyId:
+        for n in range(1, 401):
+            for lam in family_targets(family, n):
+                c = build_family(family, n, lam)
+                head = " ".join(map(str, c.head))
+                lines.append(f"{family.value} {n} {lam} {head} {c.twos} {c.ones}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == REGISTRY_DIGEST

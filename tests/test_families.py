@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 from tnspec import families
-from tnspec.errors import OutOfFamilyRangeError, WitnessVerificationError
+from tnspec.errors import (
+    OutOfFamilyRangeError,
+    ParityViolationError,
+    WitnessVerificationError,
+)
 from tnspec.families import (
     FAMILY_REGISTRY,
     LINEAR_MIN_N,
@@ -304,6 +308,54 @@ class TestRegistrySoundness:
             for family in FamilyId:
                 for lam in family_targets(family, n):
                     assert lam in full, (family, n, lam)
+
+
+class TestAffineRows:
+    """A row built from wrong data is refused, never used."""
+
+    # S2_case3 as the registry writes it: even n, odd lam in [(n+4)/2, n-1]
+    S2_CASE3 = dict(
+        family=FamilyId.S2_CASE3,
+        group="S2",
+        n_class=(2, 0),
+        n_min=6,
+        low=(1, 4, 2),
+        high=(1, -1, 1),
+        head=((0, 1, 3, 2), (1, -1, 3, 2)),
+        twos=(1, -1, -1, 2),
+        ones=(-1, 2, -4, 2),
+        lam_parity=1,
+    )
+
+    def row(self, **changes):
+        return families._affine(**{**self.S2_CASE3, **changes})
+
+    def test_the_data_is_the_registry_row(self):
+        row = self.row()
+        for n in range(6, SWEEP_TOP + 1, 2):
+            assert row.targets(n) == family_targets(FamilyId.S2_CASE3, n)
+            for lam in row.targets(n):
+                assert row.build(n, lam) == build_family(FamilyId.S2_CASE3, n, lam)
+
+    def test_an_inexact_entry_is_refused(self, monkeypatch):
+        # (n - lam + 4)/2 is never an integer for even n and odd lam
+        mutated = self.row(head=((0, 1, 3, 2), (1, -1, 4, 2)))
+        monkeypatch.setitem(FAMILY_REGISTRY, FamilyId.S2_CASE3, mutated)
+        for n in range(6, SWEEP_TOP + 1, 2):
+            for lam in family_targets(FamilyId.S2_CASE3, n):
+                message = rf"S2_case3: head\[1\] .* at n = {n}, target {lam}$"
+                with pytest.raises(ParityViolationError, match=message):
+                    build_family(FamilyId.S2_CASE3, n, lam)
+
+    def test_a_size_preserving_mutation_fails_verification(self, monkeypatch):
+        # one 2 of the tail becomes two 1s: still a partition of n
+        mutated = self.row(twos=(1, -1, -3, 2), ones=(-1, 2, 0, 2))
+        monkeypatch.setitem(FAMILY_REGISTRY, FamilyId.S2_CASE3, mutated)
+        n, lam = 40, 23
+        assert families._table_family(n, lam) is FamilyId.S2_CASE3
+        assert build_family(FamilyId.S2_CASE3, n, lam).n == n
+        with pytest.raises(WitnessVerificationError):
+            linear_segment_witness(n, lam)
 
 
 class TestWitnessRecord:
