@@ -429,7 +429,6 @@ def compact_eigenvalue(compact: CompactPartition) -> int:
     The t1 term is even for every integer t1 (it is t1 times an integer of
     opposite-parity offset), so the division is exact.
     """
-    head = Partition(compact.head)
     check_formula_n(compact.n)
     l = compact.head_length
     t2 = compact.twos
@@ -440,4 +439,4 @@ def compact_eigenvalue(compact: CompactPartition) -> int:
         - (2 * l + t2 + 1) * t2
         - _exact_half((2 * l + 2 * t2 + t1 + 1) * t1)
     )
-    return eigenvalue(head) + tail_shift
+    return eigenvalue_of_parts(compact.head) + tail_shift

@@ -22,10 +22,12 @@ Two constructive results are implemented:
   residual partitions otherwise.  Consecutive head intervals overlap
   throughout the head range, so a target with no head is a bug, not a gap.
 
-Inside the drivers a witness is a plain (partition, chain) pair.  Each
-public driver checks the one partition it returns, once, with make_witness
-(the flat eigenvalue formula); a linear tail is not checked on its own
-before a head is put in front of it.
+Inside the drivers a witness is a plain (partition, chain) pair, built by
+_linear_parts or _quadratic_parts.  Both handle the sign the same way: a
+negative target conjugates the pair for -k and appends "conjugate" to its
+chain.  Each public driver checks n and the segment once, then checks the
+one partition it returns, once, with make_witness (the flat eigenvalue
+formula); neither a linear tail nor the pair for -k is checked on its own.
 
 The gap between the two segments, [n+1, y1-1], is conjectured but not
 proven to be covered; conjecture_scan reports oracle membership for each
@@ -241,7 +243,7 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     """A verified partition of n with eigenvalue k, y1 <= |k| <= y2.
 
     Primary path: the smallest admissible leading part n1 whose interval
-    brackets k, so the residual target lies in [-(n-n1), n-n1]; the
+    brackets |k|, so the residual target lies in [-(n-n1), n-n1]; the
     residual witness comes from the linear driver when n-n1 >= 31, and
     from the oracle's spectrum of first-part-capped partitions otherwise
     (the top few leading parts always land below 31, so the oracle is
@@ -251,7 +253,8 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     (small spectra have holes — T_18 misses +-4 and +-16).  The head
     intervals overlap, so such targets are rescued by scanning the other
     admissible leading parts, cheapest residual first, for one whose
-    (out-of-bracket) residual target the oracle can witness.
+    (out-of-bracket) residual target the oracle can witness.  A negative
+    target takes the conjugate of the witness for -k.
     """
     _check_witness_n(n)
     bounds = quadratic_segment_bounds(n)
@@ -260,8 +263,14 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
             f"target {k} is outside the quadratic segment "
             f"[{bounds.y1}, {bounds.y2}] (and its mirror) at n = {n}"
         )
+    return make_witness(n, k, *_quadratic_parts(n, k))
+
+
+def _quadratic_parts(n: int, k: int) -> tuple[Partition, tuple[str, ...]]:
+    """(partition, chain) for y1 <= |k| <= y2, not yet verified."""
     if k < 0:
-        return quadratic_segment_witness(n, -k).conjugated()
+        partition, chain = _quadratic_parts(n, -k)
+        return conjugate(partition), chain + ("conjugate",)
     low_head, high_head = head_range(n)
     # smallest f with C(f, 2) >= k; both ends of head_interval grow with f,
     # so the smallest admissible head at or above it is the only candidate
@@ -278,7 +287,7 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
     residual_target = k - choose2(first) + residual_n
     if residual_n >= LINEAR_MIN_N:
         tail, chain = _linear_parts(residual_n, residual_target)
-        return make_witness(n, k, _joined(first, tail), (f"head={first}",) + chain)
+        return _joined(first, tail), (f"head={first}",) + chain
     # The bracketing head first.  Then the rescue: other leading parts reach
     # k with a residual target outside [-(n-n1), n-n1] but well inside the
     # residual spectrum's actual range.
@@ -291,9 +300,7 @@ def quadratic_segment_witness(n: int, k: int) -> WitnessRecord:
         cap = EnumerationConstraints(max_first_part=candidate)
         tail = spectrum(other_n, cap).witness(other_target)
         if tail is not None:
-            return make_witness(
-                n, k, _joined(candidate, tail), (f"head={candidate}", "oracle")
-            )
+            return _joined(candidate, tail), (f"head={candidate}", "oracle")
     raise WitnessNotFoundError(
         f"no admissible leading part yields a residual witness for "
         f"n = {n}, k = {k} (bracketing part {first} lacked eigenvalue "

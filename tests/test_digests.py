@@ -1,13 +1,15 @@
-"""Golden digests: the stdout of twenty CLI commands, byte for byte.
+"""Golden digests: the stdout of twenty-one CLI commands, byte for byte.
 
 Each digest is the sha256 of the concatenated stdout of `cli.run` over one
 range of its `{n}` placeholder.  A change that alters any of these outputs
 must say so and record the new digest here.  The two `cover` csv entries
 pin witness bytes on short ranges: N = 31..80, and `--theorem 5` for
 N = 48..60, which takes the rescue path at (48, 413) and many oracle tails.
-The three `witness` csv entries pin conjugated witnesses of 500 to 1000
-parts, at n = 2001 and 2000 and, behind a head, on the quadratic segment at
-1500.  The last nine entries pin every format a command renders on its own
+The four `witness` csv entries pin conjugated witnesses: of 500 to 1000
+parts at n = 2001 and 2000 and, behind a head, on the quadratic segment at
+1500, where every tail is linear; and every negative quadratic target at
+n = 48 from -74 to -496, 360 of them oracle tails, with the rescue at -413.
+The last nine entries pin every format a command renders on its own
 path: `cover` in text and json, `conjecture` in text and csv, `spectrum
 --witnesses` in text and csv, `witness` in text and `contains` in csv.
 The full `cover` ranges (N = 31..300, and `--theorem 5` for N = 48..300)
@@ -79,6 +81,11 @@ GOLDEN = [
         ["witness", "--theorem", "5", "1500", "-{n}", "--format", "csv"],
         range(123252, 499501, 4001),
         "6f54683a177162da27e323f65c3ad7cb4e8caff971d5a3179ae5119193eb0513",
+    ),
+    (
+        ["witness", "--theorem", "5", "48", "-{n}", "--format", "csv"],
+        range(74, 497),
+        "5c6163bb1d52521f8c0a3c0a9e2b81d62b116281c72fa0e3fafdb2af607a2a84",
     ),
     (
         ["cover", "{n}"],

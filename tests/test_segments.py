@@ -323,11 +323,7 @@ class TestVerifiedOnce:
     def test_one_check_per_record(self, checked, driver, n, k, chain):
         record = driver(n, k)
         assert record.family_chain == chain
-        if driver is quadratic_segment_witness and k < 0:
-            # the positive record, then its conjugate
-            assert checked == [(n, -k), (n, k)]
-        else:
-            assert checked == [(n, k)]
+        assert checked == [(n, k)]
 
     @pytest.fixture
     def lying_builders(self, monkeypatch):

@@ -6,6 +6,9 @@ import pytest
 
 from tnspec import verify
 from tnspec.errors import InvalidArgumentError
+from tnspec.oracle import SpectrumSet
+from tnspec.partitions import choose2
+from tnspec.segments import quadratic_segment_bounds
 from tnspec.verify import (
     DEFAULT_CHECKS,
     MAX_FAILURE_SAMPLES,
@@ -101,6 +104,57 @@ class TestSegmentChecks:
     def test_oracle_cross_check(self):
         report = cross_check_oracle((2, 12))
         assert report.cases_failed == 0
+
+
+class TestOracleCrossCheck:
+    """The cross-check tests both theorems on the oracle's table alone."""
+
+    def test_default_range_case_count(self):
+        # 44 symmetry cases, 5 Cayley cases (n = 2..6) and 2n + 1 linear
+        # targets for each n = 31..45
+        assert cross_check_oracle((2, 45)).cases_run == 1204
+
+    def test_runs_no_cover(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"cover of n = {n} run by the cross-check")
+
+        monkeypatch.setattr(verify, "linear_segment_cover", refuse)
+        monkeypatch.setattr(verify, "quadratic_segment_cover", refuse)
+        report = cross_check_oracle((44, 50))
+        assert report.ok
+        expected = 0
+        for n in range(44, 51):
+            expected += 1 + 2 * n + 1  # symmetry, then the linear targets
+            if n >= 48:
+                bounds = quadratic_segment_bounds(n)
+                expected += bounds.y2 - bounds.y1 + 1
+        assert report.cases_run == expected
+
+    def test_missing_values_fail_exactly_their_cases(self, monkeypatch):
+        # clear +-7 from T_40 and +-y1 = +-74 from T_48; clearing both signs
+        # keeps each spectrum symmetric
+        cleared = {40: (-7, 7), 48: (-74, 74)}
+        original = verify.spectrum
+
+        def holed(n, constraints=None):
+            found = original(n, constraints)
+            bits = found.bits
+            for value in cleared.get(n, ()):
+                bits &= ~(1 << (value + choose2(n)))
+            return SpectrumSet(n, bits, found.walk_back)
+
+        monkeypatch.setattr(verify, "spectrum", holed)
+        assert quadratic_segment_bounds(48).y1 == 74
+        report = cross_check_oracle((31, 50))
+        assert [sample.inputs for sample in report.failure_samples] == [
+            "n=40 k=-7 linear",
+            "n=40 k=7 linear",
+            "n=48 k=74 quadratic",
+        ]
+        assert report.cases_failed == 3
+        for sample in report.failure_samples:
+            assert sample.expected == "witness value in oracle spectrum"
+            assert sample.got == "missing"
 
 
 class TestRunChecks:
