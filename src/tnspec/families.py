@@ -13,16 +13,16 @@ cover every integer target k in [0, n]:
 * A2 rows     — the top seven targets n-6 .. n.
 
 FAMILY_REGISTRY is the only description of which family serves which
-target.  Every row but Zero is affine data: within its class of n, each
-part count of its shape is (a*n + b*k + c)/d and each end of its target
-range is (a*n + c)/d, read by one interpreter that refuses inexact
-divisions.  Some target sets overlap, so the linear driver takes the first
-family, in one fixed priority order declared next to the registry rows,
-whose targets contain k; for n >= 31 that tiles [0, n].  A query does not
-scan the families for that: it bisects a table of cells over k whose
-starts are affine in n, derived on first use from the registry's range
-endpoints, which are affine by construction; the ordered scan stays as
-the table's reference.
+target: a row's targets(n) is its whole admissibility.  Every row but Zero
+is affine data: within its class of n, from its n_min on, each part count
+of its shape is (a*n + b*k + c)/d and each end of its target range is
+(a*n + c)/d, read by one interpreter that refuses inexact divisions.  Some
+target sets overlap, so the linear driver takes the first family, in one
+fixed priority order declared next to the registry rows, whose targets
+contain k; for n >= 31 that tiles [0, n].  It reaches that family by one
+path, a bisect over a table of cells whose starts are affine in n, derived
+on first use from the affine range endpoints; the ordered scan is the
+tests' reference.  Below n = 31 the drivers read the oracle instead.
 
 Every builder checks the run-length evaluation of its shape against the
 target, which costs O(head).  The flat eigenvalue formula re-checks each
@@ -179,7 +179,7 @@ _NO_TARGETS = range(0)
 
 
 def _targets_zero(n: int) -> range:
-    if n % 2 == 1 or n >= 4:
+    if n >= 1 and n != 2:
         return range(0, 1)
     return _NO_TARGETS
 
@@ -227,11 +227,11 @@ def _row_forms(
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Registry entry: admissibility data plus the shape builder."""
+    """Registry entry: targets(n) is the family's whole admissibility (empty
+    below n_min and outside its class of n); build(n, lam) its shape."""
 
     family: FamilyId
     group: str  # "S1", "S2", "A1", "A2" (Zero counts as S1 for bounds)
-    n_parity: int | None  # 0 even, 1 odd, None either
     n_min: int
     targets: Callable[[int], range]
     build: Callable[[int, int], CompactPartition]
@@ -278,7 +278,7 @@ def _affine(
     (low_a, low_c, low_d), (high_a, high_c, high_d) = low, high
 
     def targets(n: int) -> range:
-        if n % modulus != residue:
+        if n < n_min or n % modulus != residue:
             return _NO_TARGETS
         start = -(-(low_a * n + low_c) // low_d)
         stop = (high_a * n + high_c) // high_d + 1
@@ -299,29 +299,29 @@ def _affine(
             values.append(value // d)
         return CompactPartition(tuple(values[:-2]), values[-2], values[-1])
 
-    return FamilySpec(family, group, residue % 2, n_min, targets, build, closed_forms)
+    return FamilySpec(family, group, n_min, targets, build, closed_forms)
 
 
 def _row(
     family: FamilyId,
     group: str,
-    n_parity: int,
+    parity: int,
     n_min: int,
     target: _End,
     head: tuple[_Entry, ...],
     ones: _Entry,
     closed_forms: Callable[[int, int], tuple[int, int]],
 ) -> FamilySpec:
-    """An A1/A2 row: one target, and a shape in n alone with no 2-run."""
+    """An A1/A2 row of odd or even n: one target, a shape in n, no 2-run."""
     return _affine(
-        family, group, (2, n_parity), n_min, target, target, head, 0, ones,
+        family, group, (2, parity), n_min, target, target, head, 0, ones,
         closed_forms=closed_forms,
     )
 
 
 F = FamilyId
 _REGISTRY_ROWS: tuple[FamilySpec, ...] = (
-    FamilySpec(F.ZERO, "S1", None, 1, _targets_zero, _zero),
+    FamilySpec(F.ZERO, "S1", 1, _targets_zero, _zero),
     # S1 low and mid: the targets below and above the crossover
     # (n - 3)//4 + 1; on even n, S1_one_even takes target 1
     _affine(
@@ -451,36 +451,16 @@ _DISPATCH_ORDER: tuple[FamilyId, ...] = (
     *_group("S2"),
 )
 
-# The same order without the families of the other parity of n, for which
-# family_targets returns an empty range: the reference scan and the
-# derivation of the dispatch cells below read only these.
-_DISPATCH_BY_PARITY: tuple[tuple[FamilyId, ...], ...] = tuple(
-    tuple(
-        family
-        for family in _DISPATCH_ORDER
-        if FAMILY_REGISTRY[family].n_parity in (None, parity)
-    )
-    for parity in (0, 1)
-)
-
-
-def _spec_targets(spec: FamilySpec, n: int) -> range:
-    if n < spec.n_min:
-        return _NO_TARGETS
-    if spec.n_parity is not None and n % 2 != spec.n_parity:
-        return _NO_TARGETS
-    return spec.targets(n)
-
 
 def family_targets(family: FamilyId, n: int) -> range:
     """Eigenvalue targets the family covers at this n (may be empty)."""
-    return _spec_targets(FAMILY_REGISTRY[family], n)
+    return FAMILY_REGISTRY[family].targets(n)
 
 
 def build_family(family: FamilyId, n: int, lam: int) -> CompactPartition:
     """Build the family's shape after checking (n, lam) admissibility."""
     spec = FAMILY_REGISTRY[family]
-    if lam not in _spec_targets(spec, n):
+    if lam not in spec.targets(n):
         raise OutOfFamilyRangeError(
             f"{family.value} does not cover target {lam} at n = {n}"
         )
@@ -499,10 +479,8 @@ def _family_partition(family: FamilyId, n: int, lam: int) -> Partition:
 
 
 def _dispatch_ranges(n: int) -> list[tuple[FamilyId, range]]:
-    """(family, targets at n) for n's parity, in dispatch order."""
-    return [
-        (family, family_targets(family, n)) for family in _DISPATCH_BY_PARITY[n % 2]
-    ]
+    """(family, targets at n) in dispatch order."""
+    return [(family, FAMILY_REGISTRY[family].targets(n)) for family in _DISPATCH_ORDER]
 
 
 def _first_covering(
@@ -515,8 +493,8 @@ def _first_covering(
 
 
 def _scan_family(n: int, lam: int) -> FamilyId | None:
-    """The reference dispatch: the first family in dispatch order whose
-    targets at n contain lam, or None."""
+    """The reference the tests hold the table to: the first family in
+    dispatch order whose targets at n contain lam, or None."""
     return _first_covering(_dispatch_ranges(n), lam)
 
 
@@ -604,12 +582,9 @@ def _table_family(n: int, lam: int) -> FamilyId | None:
 
 
 def _dispatch_witness(n: int, lam: int) -> tuple[Partition, tuple[str, ...]]:
-    """(partition, chain) from the first family in dispatch order that
-    covers lam, not yet verified."""
-    if n >= LINEAR_MIN_N:
-        family = _table_family(n, lam)
-    else:
-        family = _scan_family(n, lam)
+    """(partition, chain), not yet verified, from the first family in
+    dispatch order that covers lam.  Requires n >= LINEAR_MIN_N."""
+    family = _table_family(n, lam)
     if family is None:
         raise OutOfFamilyRangeError(f"no family covers target {lam} at n = {n}")
     return _family_partition(family, n, lam), (family.value,)
@@ -620,8 +595,6 @@ def zero_witness(n: int) -> Partition:
 
     Exists for every n >= 1 except n = 2 (T_2 = K_2 has spectrum {-1, 1}).
     """
-    if not family_targets(FamilyId.ZERO, n):
-        raise OutOfFamilyRangeError(f"no zero eigenvalue witness at n = {n}")
     partition = _family_partition(FamilyId.ZERO, n, 0)
     return make_witness(n, 0, partition, (FamilyId.ZERO.value,)).partition
 

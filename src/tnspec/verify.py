@@ -28,11 +28,11 @@ from .families import (
 )
 from .oracle import CAYLEY_MAX_N, cayley_spectrum, spectrum
 from .partitions import (
-    Partition,
     choose2,
     compact_eigenvalue,
     conjugate,
     eigenvalue,
+    eigenvalue_of_parts,
     expand,
 )
 from .segments import (
@@ -149,7 +149,7 @@ def verify_family(family: FamilyId, n_range: tuple[int, int]) -> VerificationRep
             found.append("run-length evaluation disagrees")
         if spec.closed_forms is not None:
             want_head, want_deduction = spec.closed_forms(n, lam)
-            head_eig = eigenvalue(Partition(compact.head))
+            head_eig = eigenvalue_of_parts(compact.head)
             if head_eig != want_head:
                 found.append(f"head eigenvalue {head_eig} != polynomial {want_head}")
             if head_eig - actual != want_deduction:

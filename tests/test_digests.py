@@ -12,14 +12,19 @@ n = 48 from -74 to -496, 360 of them oracle tails, with the rescue at -413.
 The last nine entries pin every format a command renders on its own
 path: `cover` in text and json, `conjecture` in text and csv, `spectrum
 --witnesses` in text and csv, `witness` in text and `contains` in csv.
-The full `cover` ranges (N = 31..300, and `--theorem 5` for N = 48..300)
-take about 6 s and 90 s, so they are checked by hand, not here.
+LONG_GOLDEN holds the full `cover` ranges (N = 31..300, and `--theorem 5`
+for N = 48..300), which take about 4 s and 90 s.  pytest does not run
+them; `PYTHONPATH=src python tests/test_digests.py` recomputes both and
+exits 1 on a mismatch.
 
 REGISTRY_DIGEST pins every family's shape, byte for byte, for every target
 it serves at n = 1..400, far past the n <= 80 soundness sweeps.
 """
 
+import contextlib
 import hashlib
+import io
+import sys
 
 import pytest
 
@@ -135,6 +140,20 @@ GOLDEN = [
 ]
 
 
+LONG_GOLDEN = [
+    (
+        ["cover", "{n}", "--format", "csv"],
+        range(31, 301),
+        "26fecf2ae7569baa6fdd84a86273d36fc243a2c74d63cc6a8fc2a565db1bcec2",
+    ),
+    (
+        ["cover", "--theorem", "5", "{n}", "--format", "csv"],
+        range(48, 301),
+        "5edc4ffc170fe802cbd64bb93cb7e05af6070fd8318bffdedb746cc02f3362ff",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "argv, ns, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
 )
@@ -160,3 +179,23 @@ def test_registry_digest():
                 head = " ".join(map(str, c.head))
                 lines.append(f"{family.value} {n} {lam} {head} {c.twos} {c.ones}\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == REGISTRY_DIGEST
+
+
+def _stdout_digest(argv, ns):
+    """test_stdout_digest's digest, outside pytest's capture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for n in ns:
+            assert run([arg.format(n=n) for arg in argv]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    failed = 0
+    for argv, ns, digest in LONG_GOLDEN:
+        actual = _stdout_digest(argv, ns)
+        ok = actual == digest
+        failed += not ok
+        print(f"{'ok' if ok else 'MISMATCH'} {' '.join(argv)} "
+              f"n={ns.start}..{ns.stop - 1} {actual}")
+    sys.exit(1 if failed else 0)

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from tnspec import families
+from tnspec import families, segments
 from tnspec.errors import (
     OutOfFamilyRangeError,
     ParityViolationError,
+    WitnessNotFoundError,
     WitnessVerificationError,
 )
 from tnspec.families import (
@@ -34,7 +35,12 @@ from tnspec.partitions import (
     expand,
     make_partition,
 )
-from tnspec.segments import linear_segment_witness, quadratic_segment_witness
+from tnspec.segments import (
+    linear_segment_cover,
+    linear_segment_witness,
+    quadratic_segment_cover,
+    quadratic_segment_witness,
+)
 
 SWEEP_TOP = 80
 
@@ -287,6 +293,18 @@ class TestRegistrySoundness:
                 with pytest.raises(OutOfFamilyRangeError):
                     build_family(family, n, targets[0])
 
+    def test_nothing_is_admissible_below_n_min(self):
+        # n_min - 1 is outside every affine row's class of n anyway, so
+        # this walks down to where only the n_min check can refuse
+        for family, spec in FAMILY_REGISTRY.items():
+            for n in range(-2, spec.n_min):
+                assert not family_targets(family, n), (family, n)
+                with pytest.raises(OutOfFamilyRangeError):
+                    build_family(family, n, 0)
+        for n in (0, -1):
+            with pytest.raises(OutOfFamilyRangeError):
+                zero_witness(n)
+
     def test_first_part_and_length_bounds(self):
         for n in range(31, SWEEP_TOP + 1):
             for family, spec in FAMILY_REGISTRY.items():
@@ -421,15 +439,30 @@ class TestDispatchTable:
             table, scan = families._table_family(n, lam), families._scan_family(n, lam)
             assert table is scan, (n, lam)
 
-    def test_below_the_table_the_scan_answers(self):
-        for n in range(20, LINEAR_MIN_N):
-            for lam in range(0, n + 1):
-                family = families._scan_family(n, lam)
-                if family is None:
-                    continue
-                partition, chain = families._dispatch_witness(n, lam)
-                assert chain == (family.value,)
-                assert eigenvalue(partition) == lam
+    def test_the_drivers_dispatch_only_from_the_table_start(self, monkeypatch):
+        # the cells are derived for n >= LINEAR_MIN_N only; below it the
+        # drivers must read the oracle instead of dispatching
+        seen = []
+        dispatch = segments._dispatch_witness
+
+        def recording(n, lam):
+            seen.append(n)
+            return dispatch(n, lam)
+
+        monkeypatch.setattr(segments, "_dispatch_witness", recording)
+        for n in range(1, 41):
+            for k in range(-n, n + 1):
+                try:
+                    assert linear_segment_witness(n, k).target == k
+                except WitnessNotFoundError:
+                    assert n < LINEAR_MIN_N, (n, k)
+        linear_segment_cover(LINEAR_MIN_N)
+        for n in range(48, 53):
+            quadratic_segment_cover(n)
+        for k in (1000, -1000):
+            assert quadratic_segment_witness(100, k).target == k
+        assert seen
+        assert min(seen) >= LINEAR_MIN_N
 
     @pytest.mark.parametrize("n", [31, 32, 37, 38, 999, 100_000])
     def test_targets_outside_zero_to_n_are_refused(self, n):
