@@ -13,16 +13,18 @@ cover every integer target k in [0, n]:
 * A2 rows     — the top seven targets n-6 .. n.
 
 FAMILY_REGISTRY is the only description of which family serves which
-target: a row's targets(n) is its whole admissibility.  Every row but Zero
-is affine data: within its class of n, from its n_min on, each part count
-of its shape is (a*n + b*k + c)/d and each end of its target range is
-(a*n + c)/d, read by one interpreter that refuses inexact divisions.  Some
-target sets overlap, so the linear driver takes the first family, in one
-fixed priority order declared next to the registry rows, whose targets
-contain k; for n >= 31 that tiles [0, n].  It reaches that family by one
-path, a bisect over a table of cells whose starts are affine in n, derived
-on first use from the affine range endpoints; the ordered scan is the
-tests' reference.  Below n = 31 the drivers read the oracle instead.
+target: a row's targets(n) is its whole admissibility.  Every row is a
+FamilySpec of plain data: within its class of n, from its n_min on, each
+part count of its shape is (a*n + b*k + c)/d and each end of its target
+range is (a*n + c)/d.  The methods targets, build and closed_forms read
+those fields, and build refuses inexact divisions; Zero alone overrides
+targets and build by hand.  Some target sets overlap, so the linear driver
+takes the first family, in one fixed priority order declared next to the
+registry rows, whose targets contain k; for n >= 31 that tiles [0, n].  It
+reaches that family by one path, a bisect over a table of cells whose
+starts are affine in n, derived on first use from the affine range
+endpoints; the ordered scan is the tests' reference.  Below n = 31 the
+drivers read the oracle instead.
 
 Every builder checks the run-length evaluation of its shape against the
 target, which costs O(head).  The flat eigenvalue formula re-checks each
@@ -37,11 +39,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable
 
 from .errors import (
+    InvalidArgumentError,
     OutOfFamilyRangeError,
     ParityViolationError,
     TnSpecError,
@@ -160,28 +162,14 @@ def make_witness(
 
 
 # --- family shapes ---------------------------------------------------------
-#
-# _affine turns the coefficients of one row into its targets and build
-# callables.  Zero is written by hand: its shape switches on the parity of
-# n, and at n = 1 it is (1), which a head cannot hold.
-
-
-def _zero(n: int, lam: int) -> CompactPartition:
-    if n % 2:
-        if n == 1:
-            return CompactPartition((), 0, 1)
-        return CompactPartition(((n + 1) // 2,), 0, (n - 1) // 2)
-    return CompactPartition((n // 2,), 1, (n - 4) // 2)
-
 
 # Target sets are ranges, so membership is O(1) and costs no allocation.
 _NO_TARGETS = range(0)
 
-
-def _targets_zero(n: int) -> range:
-    if n >= 1 and n != 2:
-        return range(0, 1)
-    return _NO_TARGETS
+# A shape entry: a constant, or (a, b, c, d) for (a*n + b*lam + c)/d.
+_Entry = int | tuple[int, int, int, int]
+# A target-range end: (a, c, d) for (a*n + c)/d.
+_End = tuple[int, int, int]
 
 
 def _exact(value: int, divisor: int) -> int:
@@ -193,113 +181,109 @@ def _exact(value: int, divisor: int) -> int:
     return quotient
 
 
-def _s2_forms(
-    head_n: int, head_nl: int, head_c: int, head_l: int
-) -> Callable[[int, int], tuple[int, int]]:
-    """Closed forms for an S2 case, as eighths of quadratics in (n, lam).
-
-    head = (n^2 + head_nl*n*lam + head_n*n + 2*lam^2 + head_l*lam + head_c)/8
-    and f = head - lam (so both are pinned by one coefficient set).
-    """
-
-    def forms(n: int, lam: int) -> tuple[int, int]:
-        head = _exact(
-            n * n + head_nl * n * lam + head_n * n + 2 * lam * lam + head_l * lam + head_c,
-            8,
-        )
-        return head, head - lam
-
-    return forms
-
-
-def _row_forms(
-    head_b: int, head_c: int, f_b: int, f_c: int
-) -> Callable[[int, int], tuple[int, int]]:
-    """Closed forms for an A1/A2 row: eighths of quadratics in n alone."""
-
-    def forms(n: int, lam: int) -> tuple[int, int]:
-        head = _exact(n * n + head_b * n + head_c, 8)
-        deduction = _exact(n * n + f_b * n + f_c, 8)
-        return head, deduction
-
-    return forms
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """Registry entry: targets(n) is the family's whole admissibility (empty
-    below n_min and outside its class of n); build(n, lam) its shape."""
+    """A registry row, as plain data that its methods read.
+
+    With n_class = (modulus, residue), the family serves n = residue (mod
+    modulus) from n_min on.  targets(n), its whole admissibility, runs
+    from low, rounded up, to high, rounded down, keeping only lam =
+    lam_parity (mod 2) if that is given.  build(n, lam) is its shape,
+    CompactPartition(head, twos, ones) with every entry evaluated at
+    (n, lam); an entry that does not divide exactly raises
+    ParityViolationError.  forms, if given, are the coefficients of
+    closed_forms(n, lam).
+    """
 
     family: FamilyId
     group: str  # "S1", "S2", "A1", "A2" (Zero counts as S1 for bounds)
+    n_class: tuple[int, int]
     n_min: int
-    targets: Callable[[int], range]
-    build: Callable[[int, int], CompactPartition]
-    closed_forms: Callable[[int, int], tuple[int, int]] | None = None
-
-
-# A shape entry: a constant, or (a, b, c, d) for (a*n + b*lam + c)/d.
-_Entry = int | tuple[int, int, int, int]
-# A target-range end: (a, c, d) for (a*n + c)/d.
-_End = tuple[int, int, int]
-
-_ODD = (2, 1)
-_EVEN = (2, 0)
-
-
-def _affine(
-    family: FamilyId,
-    group: str,
-    n_class: tuple[int, int],
-    n_min: int,
-    low: _End,
-    high: _End,
-    head: tuple[_Entry, ...],
-    twos: _Entry,
-    ones: _Entry,
-    lam_parity: int | None = None,
-    closed_forms: Callable[[int, int], tuple[int, int]] | None = None,
-) -> FamilySpec:
-    """The registry row of a family given as affine data.
-
-    With n_class = (modulus, residue), the family serves n = residue (mod
-    modulus) from n_min on.  Its targets run from low, rounded up, to
-    high, rounded down, keeping only lam = lam_parity (mod 2) if that is
-    given.  Its shape is CompactPartition(head, twos, ones) with every
-    entry evaluated at (n, lam); an entry that does not divide exactly
-    raises ParityViolationError.
-    """
-    modulus, residue = n_class
-    coefficients = tuple(
-        (0, 0, entry, 1) if isinstance(entry, int) else entry
-        for entry in (*head, twos, ones)
+    low: _End
+    high: _End
+    head: tuple[_Entry, ...]
+    twos: _Entry
+    ones: _Entry
+    lam_parity: int | None = None
+    forms: tuple[int, int, int, int] | None = None
+    # every shape entry as (a, b, c, d), normalised once, not on each build
+    _coefficients: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False
     )
-    entry_names = [f"head[{i}]" for i in range(len(head))] + ["twos", "ones"]
-    (low_a, low_c, low_d), (high_a, high_c, high_d) = low, high
 
-    def targets(n: int) -> range:
-        if n < n_min or n % modulus != residue:
+    def __post_init__(self) -> None:
+        coefficients = tuple(
+            (0, 0, entry, 1) if isinstance(entry, int) else entry
+            for entry in (*self.head, self.twos, self.ones)
+        )
+        object.__setattr__(self, "_coefficients", coefficients)
+
+    def targets(self, n: int) -> range:
+        """The targets the family covers at n (may be empty)."""
+        modulus, residue = self.n_class
+        if n < self.n_min or n % modulus != residue:
             return _NO_TARGETS
+        (low_a, low_c, low_d), (high_a, high_c, high_d) = self.low, self.high
         start = -(-(low_a * n + low_c) // low_d)
         stop = (high_a * n + high_c) // high_d + 1
-        if lam_parity is None:
+        if self.lam_parity is None:
             return range(start, stop)
-        return range(start + (start - lam_parity) % 2, stop, 2)
+        return range(start + (start - self.lam_parity) % 2, stop, 2)
 
-    def build(n: int, lam: int) -> CompactPartition:
+    def build(self, n: int, lam: int) -> CompactPartition:
+        """The shape at (n, lam); the caller has checked lam in targets(n)."""
         values: list[int] = []
-        for a, b, c, d in coefficients:
+        for a, b, c, d in self._coefficients:
             value = a * n + b * lam + c
             if value % d:
+                i, heads = len(values), len(self.head)
+                name = f"head[{i}]" if i < heads else ("twos", "ones")[i - heads]
                 raise ParityViolationError(
-                    f"{family.value}: {entry_names[len(values)]} = "
-                    f"({a}n + {b}lam + {c})/{d} is not an integer at n = {n}, "
-                    f"target {lam}"
+                    f"{self.family.value}: {name} = ({a}n + {b}lam + {c})/{d} "
+                    f"is not an integer at n = {n}, target {lam}"
                 )
             values.append(value // d)
         return CompactPartition(tuple(values[:-2]), values[-2], values[-1])
 
-    return FamilySpec(family, group, n_min, targets, build, closed_forms)
+    def closed_forms(self, n: int, lam: int) -> tuple[int, int] | None:
+        """(head eigenvalue, tail deduction) as eighths of quadratics, or
+        None for a row that publishes no forms.
+
+        An S2 row's forms (h_n, h_nl, h_c, h_l) give head = (n^2 + h_nl*n*lam
+        + h_n*n + 2*lam^2 + h_l*lam + h_c)/8 and deduction = head - lam; an
+        A1/A2 row's (h_n, h_c, f_n, f_c) give head = (n^2 + h_n*n + h_c)/8
+        and deduction = (n^2 + f_n*n + f_c)/8.
+        """
+        if self.forms is None:
+            return None
+        if self.group == "S2":
+            h_n, h_nl, h_c, h_l = self.forms
+            head = _exact(
+                n * n + h_nl * n * lam + h_n * n + 2 * lam * lam + h_l * lam + h_c, 8
+            )
+            return head, head - lam
+        h_n, h_c, f_n, f_c = self.forms
+        return _exact(n * n + h_n * n + h_c, 8), _exact(n * n + f_n * n + f_c, 8)
+
+
+class _Zero(FamilySpec):
+    """Zero, by hand: no n = 2 (T_2 has no eigenvalue 0), its shape
+    switches on the parity of n, and at n = 1 it is (1), which a head
+    cannot hold.  Its fields hold target 0 and the shape of odd n >= 3."""
+
+    def targets(self, n: int) -> range:
+        return _NO_TARGETS if n == 2 else super().targets(n)
+
+    def build(self, n: int, lam: int) -> CompactPartition:
+        if n % 2 == 0:
+            return CompactPartition((n // 2,), 1, (n - 4) // 2)
+        if n == 1:
+            return CompactPartition((), 0, 1)
+        return super().build(n, lam)
+
+
+_ODD = (2, 1)
+_EVEN = (2, 0)
 
 
 def _row(
@@ -310,120 +294,122 @@ def _row(
     target: _End,
     head: tuple[_Entry, ...],
     ones: _Entry,
-    closed_forms: Callable[[int, int], tuple[int, int]],
+    forms: tuple[int, int, int, int],
 ) -> FamilySpec:
     """An A1/A2 row of odd or even n: one target, a shape in n, no 2-run."""
-    return _affine(
-        family, group, (2, parity), n_min, target, target, head, 0, ones,
-        closed_forms=closed_forms,
+    return FamilySpec(
+        family, group, (2, parity), n_min, target, target, head, 0, ones, forms=forms
     )
 
 
 F = FamilyId
 _REGISTRY_ROWS: tuple[FamilySpec, ...] = (
-    FamilySpec(F.ZERO, "S1", 1, _targets_zero, _zero),
+    _Zero(
+        F.ZERO, "S1", (1, 0), 1, (0, 0, 1), (0, 0, 1),
+        ((1, 0, 1, 2),), 0, (1, 0, -1, 2),
+    ),
     # S1 low and mid: the targets below and above the crossover
     # (n - 3)//4 + 1; on even n, S1_one_even takes target 1
-    _affine(
+    FamilySpec(
         F.S1_LOW_ODD, "S1", _ODD, 7, (0, 1, 1), (1, -3, 4),
         ((1, -2, 1, 2), (0, 1, 2, 1)), (0, 1, -1, 1), (1, -4, -1, 2),
     ),
-    _affine(
+    FamilySpec(
         F.S1_ONE_EVEN, "S1", _EVEN, 14, (0, 1, 1), (0, 1, 1),
         ((1, 0, -6, 2), 4, 4), 1, (1, 0, -14, 2),
     ),
-    _affine(
+    FamilySpec(
         F.S1_LOW_EVEN, "S1", _EVEN, 12, (0, 2, 1), (1, -4, 4),
         ((1, -2, 0, 2), (0, 1, 2, 1), 3), (0, 1, -2, 1), (1, -4, -2, 2),
     ),
-    _affine(
+    FamilySpec(
         F.S1_MID_ODD, "S1", _ODD, 5, (1, 3, 4), (1, -1, 2),
         ((0, 1, 1, 1), (1, -2, 3, 2)), (1, -2, -1, 2), (-1, 4, -3, 2),
     ),
-    _affine(
+    FamilySpec(
         F.S1_MID_EVEN, "S1", _EVEN, 10, (1, 2, 4), (1, -4, 2),
         ((0, 1, 1, 1), (1, -2, 2, 2), 3), (1, -2, -4, 2), (-1, 4, -2, 2),
     ),
     # S1 special: the crossover target alone, one shape per n mod 4
-    _affine(
+    FamilySpec(
         F.S1_SPECIAL_MOD0, "S1", (4, 0), 20, (1, 0, 4), (1, 0, 4),
         ((1, 0, 0, 4), (1, 0, 0, 4), 5, 4), (1, 0, -20, 4), 1,
     ),
-    _affine(
+    FamilySpec(
         F.S1_SPECIAL_MOD1, "S1", (4, 1), 13, (1, -1, 4), (1, -1, 4),
         ((1, 0, 3, 4), (1, 0, 3, 4), 4), (1, 0, -13, 4), 1,
     ),
-    _affine(
+    FamilySpec(
         F.S1_SPECIAL_MOD2, "S1", (4, 2), 22, (1, -2, 4), (1, -2, 4),
         ((1, 0, 2, 4), (1, 0, -2, 4), 5, 4), (1, 0, -22, 4), 2,
     ),
-    _affine(
+    FamilySpec(
         F.S1_SPECIAL_MOD3, "S1", (4, 3), 19, (1, 1, 4), (1, 1, 4),
         ((1, 0, 1, 4), (1, 0, 1, 4), 5, 3), (1, 0, -19, 4), 1,
     ),
     # S2: one case per parity of n and of the target
-    _affine(
+    FamilySpec(
         F.S2_CASE1, "S2", _ODD, 11, (1, 3, 2), (1, -4, 1),
         ((0, 1, 3, 2), (1, -1, 2, 2), 3), (1, -1, -4, 2), (-1, 2, -3, 2),
-        lam_parity=1, closed_forms=_s2_forms(-2, -2, -29, 6),
+        lam_parity=1, forms=(-2, -2, -29, 6),
     ),
-    _affine(
+    FamilySpec(
         F.S2_CASE2, "S2", _ODD, 21, (1, 7, 2), (1, -7, 1),
         ((0, 1, 0, 2), (1, -1, 3, 2), 5), (1, -1, -3, 2), (-1, 2, -7, 2),
-        lam_parity=0, closed_forms=_s2_forms(0, -2, -9, -2),
+        lam_parity=0, forms=(0, -2, -9, -2),
     ),
-    _affine(
+    FamilySpec(
         F.S2_CASE3, "S2", _EVEN, 6, (1, 4, 2), (1, -1, 1),
         ((0, 1, 3, 2), (1, -1, 3, 2)), (1, -1, -1, 2), (-1, 2, -4, 2),
-        lam_parity=1, closed_forms=_s2_forms(0, -2, -6, 4),
+        lam_parity=1, forms=(0, -2, -6, 4),
     ),
-    _affine(
+    FamilySpec(
         F.S2_CASE4, "S2", _EVEN, 16, (1, 4, 2), (1, -6, 1),
         ((0, 1, 2, 2), (1, -1, 2, 2), 4), (1, -1, -4, 2), (-1, 2, -4, 2),
-        lam_parity=0, closed_forms=_s2_forms(-2, -2, -24, 4),
+        lam_parity=0, forms=(-2, -2, -24, 4),
     ),
     # A1: the three targets straddling n/2
     _row(F.A1_ROW1_ODD, "A1", 1, 25, (1, 1, 2), ((1, 0, -11, 2), 7, 4, 3, 3),
-         (1, 0, -23, 2), _row_forms(-24, 119, -28, 115)),
+         (1, 0, -23, 2), (-24, 119, -28, 115)),
     _row(F.A1_ROW2_ODD, "A1", 1, 9, (1, 3, 2), ((1, 0, -1, 2), 4),
-         (1, 0, -7, 2), _row_forms(-4, 19, -8, 7)),
+         (1, 0, -7, 2), (-4, 19, -8, 7)),
     _row(F.A1_ROW3_ODD, "A1", 1, 13, (1, 5, 2), ((1, 0, -3, 2), 5, 2),
-         (1, 0, -11, 2), _row_forms(-8, 31, -12, 11)),
+         (1, 0, -11, 2), (-8, 31, -12, 11)),
     _row(F.A1_ROW1_EVEN, "A1", 0, 32, (1, -2, 2), ((1, 0, -16, 2), 8, 5, 4, 3, 3),
-         (1, 0, -30, 2), _row_forms(-34, 232, -38, 240)),
+         (1, 0, -30, 2), (-34, 232, -38, 240)),
     _row(F.A1_ROW2_EVEN, "A1", 0, 2, (1, 0, 2), ((1, 0, 2, 2),),
-         (1, 0, -2, 2), _row_forms(2, 0, -2, 0)),
+         (1, 0, -2, 2), (2, 0, -2, 0)),
     _row(F.A1_ROW3_EVEN, "A1", 0, 28, (1, 2, 2), ((1, 0, -12, 2), 8, 3, 3, 3, 2),
-         (1, 0, -26, 2), _row_forms(-26, 112, -30, 104)),
+         (1, 0, -26, 2), (-26, 112, -30, 104)),
     # A2: the top seven targets n - 6 .. n
     _row(F.A2_ROW_N_ODD, "A2", 1, 3, (1, 0, 1), ((1, 0, 3, 2),),
-         (1, 0, -3, 2), _row_forms(4, 3, -4, 3)),
+         (1, 0, -3, 2), (4, 3, -4, 3)),
     _row(F.A2_ROW_N1_ODD, "A2", 1, 7, (1, -1, 1), ((1, 0, 1, 2), 3),
-         (1, 0, -7, 2), _row_forms(0, -1, -8, 7)),
+         (1, 0, -7, 2), (0, -1, -8, 7)),
     _row(F.A2_ROW_N2_ODD, "A2", 1, 11, (1, -2, 1), ((1, 0, -1, 2), 4, 2),
-         (1, 0, -11, 2), _row_forms(-4, -5, -12, 11)),
+         (1, 0, -11, 2), (-4, -5, -12, 11)),
     _row(F.A2_ROW_N3_ODD, "A2", 1, 9, (1, -3, 1), ((1, 0, 1, 2), 2, 2),
-         (1, 0, -9, 2), _row_forms(0, -33, -8, -9)),
+         (1, 0, -9, 2), (0, -33, -8, -9)),
     _row(F.A2_ROW_N4_ODD, "A2", 1, 11, (1, -4, 1), ((1, 0, -1, 2), 3, 3),
-         (1, 0, -11, 2), _row_forms(-4, -21, -12, 11)),
+         (1, 0, -11, 2), (-4, -21, -12, 11)),
     _row(F.A2_ROW_N5_ODD, "A2", 1, 19, (1, -5, 1), ((1, 0, -7, 2), 5, 5, 3),
-         (1, 0, -19, 2), _row_forms(-16, 55, -24, 95)),
+         (1, 0, -19, 2), (-16, 55, -24, 95)),
     _row(F.A2_ROW_N6_ODD, "A2", 1, 13, (1, -6, 1), ((1, 0, -1, 2), 3, 2, 2),
-         (1, 0, -13, 2), _row_forms(-4, -61, -12, -13)),
+         (1, 0, -13, 2), (-4, -61, -12, -13)),
     _row(F.A2_ROW_N_EVEN, "A2", 0, 8, (1, 0, 1), ((1, 0, 0, 2), 4),
-         (1, 0, -8, 2), _row_forms(-2, 16, -10, 16)),
+         (1, 0, -8, 2), (-2, 16, -10, 16)),
     _row(F.A2_ROW_N1_EVEN, "A2", 0, 6, (1, -1, 1), ((1, 0, 2, 2), 2),
-         (1, 0, -6, 2), _row_forms(2, -8, -6, 0)),
+         (1, 0, -6, 2), (2, -8, -6, 0)),
     _row(F.A2_ROW_N2_EVEN, "A2", 0, 20, (1, -2, 1), ((1, 0, -8, 2), 6, 5, 3),
-         (1, 0, -20, 2), _row_forms(-18, 104, -26, 120)),
+         (1, 0, -20, 2), (-18, 104, -26, 120)),
     _row(F.A2_ROW_N3_EVEN, "A2", 0, 10, (1, -3, 1), ((1, 0, 0, 2), 3, 2),
-         (1, 0, -10, 2), _row_forms(-2, -24, -10, 0)),
+         (1, 0, -10, 2), (-2, -24, -10, 0)),
     _row(F.A2_ROW_N4_EVEN, "A2", 0, 16, (1, -4, 1), ((1, 0, -4, 2), 5, 3, 2),
-         (1, 0, -16, 2), _row_forms(-10, 0, -18, 32)),
+         (1, 0, -16, 2), (-10, 0, -18, 32)),
     _row(F.A2_ROW_N5_EVEN, "A2", 0, 14, (1, -5, 1), ((1, 0, -2, 2), 4, 2, 2),
-         (1, 0, -14, 2), _row_forms(-6, -40, -14, 0)),
+         (1, 0, -14, 2), (-6, -40, -14, 0)),
     _row(F.A2_ROW_N6_EVEN, "A2", 0, 12, (1, -6, 1), ((1, 0, 0, 2), 2, 2, 2),
-         (1, 0, -12, 2), _row_forms(-2, -72, -10, -24)),
+         (1, 0, -12, 2), (-2, -72, -10, -24)),
 )
 del F
 
@@ -452,17 +438,28 @@ _DISPATCH_ORDER: tuple[FamilyId, ...] = (
 )
 
 
-def family_targets(family: FamilyId, n: int) -> range:
+def family_spec(family: FamilyId | str) -> FamilySpec:
+    """The registry row of a FamilyId or of its value; any other name
+    raises InvalidArgumentError."""
+    if type(family) is not FamilyId:
+        try:
+            family = FamilyId(family)
+        except ValueError:
+            raise InvalidArgumentError(f"unknown family {family!r}") from None
+    return FAMILY_REGISTRY[family]
+
+
+def family_targets(family: FamilyId | str, n: int) -> range:
     """Eigenvalue targets the family covers at this n (may be empty)."""
-    return FAMILY_REGISTRY[family].targets(n)
+    return family_spec(family).targets(n)
 
 
-def build_family(family: FamilyId, n: int, lam: int) -> CompactPartition:
+def build_family(family: FamilyId | str, n: int, lam: int) -> CompactPartition:
     """Build the family's shape after checking (n, lam) admissibility."""
-    spec = FAMILY_REGISTRY[family]
+    spec = family_spec(family)
     if lam not in spec.targets(n):
         raise OutOfFamilyRangeError(
-            f"{family.value} does not cover target {lam} at n = {n}"
+            f"{spec.family.value} does not cover target {lam} at n = {n}"
         )
     return spec.build(n, lam)
 

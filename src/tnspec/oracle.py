@@ -61,8 +61,10 @@ PARTITION_COUNT_MAX_N = 10_000
 class EnumerationConstraints:
     """Optional caps on partitions.
 
-    max_first_part bounds every part; max_length bounds the number of
-    parts (enumerate_partitions only).  None means unconstrained.
+    max_first_part bounds every part; None means unconstrained.  No oracle
+    supports a length cap: spectrum and enumerate_partitions refuse a
+    max_length below n.  The field stays because callers key their caches
+    on it.
     """
 
     max_first_part: int | None = None
@@ -157,50 +159,37 @@ def partition_count(n: int) -> int:
         return _pcount_cache[n]
 
 
-def _iter_parts(
-    remaining: int, max_part: int, slots: int | None
-) -> Iterator[tuple[int, ...]]:
+def _iter_parts(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Nonincreasing tuples summing to `remaining`, reverse-lexicographic."""
     if remaining == 0:
         yield ()
         return
-    if slots is not None and slots <= 0:
-        return
     for first in range(min(remaining, max_part), 0, -1):
-        if slots is not None and first * slots < remaining:
-            # parts below `first` only shrink; no way to reach the target
-            break
-        rest = None if slots is None else slots - 1
-        for tail in _iter_parts(remaining - first, first, rest):
+        for tail in _iter_parts(remaining - first, first):
             yield (first,) + tail
 
 
-def _checked_caps(
-    n: int, constraints: EnumerationConstraints | None
-) -> tuple[int, int | None]:
-    """(first-part cap, length cap) clipped to n, once n and the caps pass.
+def _checked_caps(n: int, constraints: EnumerationConstraints | None) -> int:
+    """The first-part cap clipped to n, once n and the caps pass.
 
     n must lie in 1..TABLE_MAX_N; above it SizeLimitError.  The bound also
     keeps the enumerator's recursion, n levels deep, far below Python's
-    limit.  A cap below 1 admits no partition of n >= 1, so it is rejected
-    rather than answered with an empty result.
+    limit.  A first-part cap below 1 admits no partition of n >= 1, so it
+    is rejected rather than answered with an empty result; a length cap
+    below n is rejected because no oracle supports one.
     """
     if n < 1:
         raise InvalidArgumentError(f"the oracle needs n >= 1, got {n}")
     if n > TABLE_MAX_N:
         raise SizeLimitError(f"n = {n} exceeds the oracle bound {TABLE_MAX_N}")
-    max_first = n
-    max_length = None
-    if constraints is not None:
-        for name in ("max_first_part", "max_length"):
-            cap = getattr(constraints, name)
-            if cap is not None and cap < 1:
-                raise InvalidArgumentError(f"{name} must be at least 1, got {cap}")
-        if constraints.max_first_part is not None:
-            max_first = min(constraints.max_first_part, n)
-        if constraints.max_length is not None:
-            max_length = min(constraints.max_length, n)
-    return max_first, max_length
+    if constraints is None:
+        return n
+    cap = constraints.max_first_part
+    if cap is not None and cap < 1:
+        raise InvalidArgumentError(f"max_first_part must be at least 1, got {cap}")
+    if constraints.max_length is not None and constraints.max_length < n:
+        raise InvalidArgumentError("length caps are not supported")
+    return n if cap is None else min(cap, n)
 
 
 def enumerate_partitions(
@@ -212,8 +201,7 @@ def enumerate_partitions(
     It walks all p(n) partitions, so it serves as the table's independent
     check on small n; like the table, it refuses n > TABLE_MAX_N.
     """
-    max_first, max_length = _checked_caps(n, constraints)
-    for parts in _iter_parts(n, max_first, max_length):
+    for parts in _iter_parts(n, _checked_caps(n, constraints)):
         yield Partition(parts)
 
 
@@ -260,15 +248,10 @@ def spectrum(
     and witnesses are derived from it only when asked for.  The witness of
     a value is the first partition attaining it in reverse-lexicographic
     order, the one enumerate_partitions would reach first.  n above
-    TABLE_MAX_N raises SizeLimitError.  A length cap below n raises
-    InvalidArgumentError: the table has no length axis, and only
-    enumerate_partitions supports one.
+    TABLE_MAX_N raises SizeLimitError, and a length cap below n
+    InvalidArgumentError.
     """
-    max_first, max_length = _checked_caps(n, constraints)
-    if max_length is not None and max_length < n:
-        raise InvalidArgumentError(
-            "length caps are supported by enumerate_partitions only"
-        )
+    max_first = _checked_caps(n, constraints)
     table = _grown_table(n)
     return SpectrumSet(n, table[n][max_first], partial(_walk_back, table, n, max_first))
 

@@ -23,6 +23,7 @@ from .families import (
     FAMILY_REGISTRY,
     FamilyId,
     build_family,
+    family_spec,
     family_targets,
     group_bound_doubled,
 )
@@ -125,7 +126,9 @@ def _guarded(
             yield inputs, not found, expected, "; ".join(found) or "ok"
 
 
-def verify_family(family: FamilyId, n_range: tuple[int, int]) -> VerificationReport:
+def verify_family(
+    family: FamilyId | str, n_range: tuple[int, int]
+) -> VerificationReport:
     """Rebuild every (n, target) instance of one family and re-check it.
 
     Per case: the expansion is a partition of n; the eigenvalue formula
@@ -134,7 +137,8 @@ def verify_family(family: FamilyId, n_range: tuple[int, int]) -> VerificationRep
     the tail deduction, both polynomials match the actual values.
     """
     low, high = n_range
-    spec = FAMILY_REGISTRY[family]
+    spec = family_spec(family)
+    family = spec.family
 
     def problems(n: int, lam: int) -> list[str]:
         compact = build_family(family, n, lam)
@@ -147,8 +151,9 @@ def verify_family(family: FamilyId, n_range: tuple[int, int]) -> VerificationRep
             found.append(f"eigenvalue {actual}")
         if compact_eigenvalue(compact) != lam:
             found.append("run-length evaluation disagrees")
-        if spec.closed_forms is not None:
-            want_head, want_deduction = spec.closed_forms(n, lam)
+        forms = spec.closed_forms(n, lam)
+        if forms is not None:
+            want_head, want_deduction = forms
             head_eig = eigenvalue_of_parts(compact.head)
             if head_eig != want_head:
                 found.append(f"head eigenvalue {head_eig} != polynomial {want_head}")

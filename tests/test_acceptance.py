@@ -150,11 +150,11 @@ def test_criterion_6_family_sweeps(capsys):
         ok = ok and result.ok
     # spot-check the published polynomial shape for one row: the first
     # odd-n head eigenvalue is n^2/8 - 3n + 119/8
-    forms = FAMILY_REGISTRY[FamilyId.A1_ROW1_ODD].closed_forms
-    ok = ok and forms is not None
+    spec = FAMILY_REGISTRY[FamilyId.A1_ROW1_ODD]
     for n in (25, 31, 79):
         lam = (n + 1) // 2
-        ok = ok and forms(n, lam)[0] == (n * n - 24 * n + 119) // 8
+        forms = spec.closed_forms(n, lam)
+        ok = ok and forms is not None and forms[0] == (n * n - 24 * n + 119) // 8
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report(6, "every witness family verifies to n = 80 including "

@@ -18,7 +18,8 @@ them; `PYTHONPATH=src python tests/test_digests.py` recomputes both and
 exits 1 on a mismatch.
 
 REGISTRY_DIGEST pins every family's shape, byte for byte, for every target
-it serves at n = 1..400, far past the n <= 80 soundness sweeps.
+it serves at n = 1..400, far past the n <= 80 soundness sweeps, and
+VERIFY_OUT_DIGEST the JSON artifacts that `verify --out` writes.
 """
 
 import contextlib
@@ -179,6 +180,21 @@ def test_registry_digest():
                 head = " ".join(map(str, c.head))
                 lines.append(f"{family.value} {n} {lam} {head} {c.twos} {c.ones}\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == REGISTRY_DIGEST
+
+
+# sha256 over the files in sorted name order, each fed as its name, a
+# newline, then its bytes.
+VERIFY_OUT_FILES = 39
+VERIFY_OUT_DIGEST = "77e92cb8180e8bf7ab2176e0bf941322ce3fd1e8c82322ba2c486ae5b3cd945a"
+
+
+def test_verify_out_digest(tmp_path):
+    assert run(["verify", "--out", str(tmp_path)]) == 0
+    files = sorted(tmp_path.iterdir())
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert (len(files), digest.hexdigest()) == (VERIFY_OUT_FILES, VERIFY_OUT_DIGEST)
 
 
 def _stdout_digest(argv, ns):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from tnspec.families import (
     FAMILY_REGISTRY,
     LINEAR_MIN_N,
     FamilyId,
+    FamilySpec,
     build_family,
     family_targets,
     group_bound_doubled,
@@ -276,8 +278,9 @@ class TestRegistrySoundness:
                 assert partition.n == n
                 assert eigenvalue(partition) == lam
                 assert compact_eigenvalue(compact) == lam
-                if spec.closed_forms is not None:
-                    want_head, want_deduction = spec.closed_forms(n, lam)
+                forms = spec.closed_forms(n, lam)
+                if forms is not None:
+                    want_head, want_deduction = forms
                     head_eig = eigenvalue(Partition(compact.head))
                     assert head_eig == want_head
                     assert head_eig - lam == want_deduction
@@ -329,31 +332,21 @@ class TestRegistrySoundness:
 
 
 class TestAffineRows:
-    """A row built from wrong data is refused, never used."""
-
-    # S2_case3 as the registry writes it: even n, odd lam in [(n+4)/2, n-1]
-    S2_CASE3 = dict(
-        family=FamilyId.S2_CASE3,
-        group="S2",
-        n_class=(2, 0),
-        n_min=6,
-        low=(1, 4, 2),
-        high=(1, -1, 1),
-        head=((0, 1, 3, 2), (1, -1, 3, 2)),
-        twos=(1, -1, -1, 2),
-        ones=(-1, 2, -4, 2),
-        lam_parity=1,
-    )
+    """A row is plain data, and a row built from wrong data is refused,
+    never used."""
 
     def row(self, **changes):
-        return families._affine(**{**self.S2_CASE3, **changes})
+        return replace(FAMILY_REGISTRY[FamilyId.S2_CASE3], **changes)
 
-    def test_the_data_is_the_registry_row(self):
-        row = self.row()
-        for n in range(6, SWEEP_TOP + 1, 2):
-            assert row.targets(n) == family_targets(FamilyId.S2_CASE3, n)
-            for lam in row.targets(n):
-                assert row.build(n, lam) == build_family(FamilyId.S2_CASE3, n, lam)
+    def test_every_row_is_plain_data(self):
+        affine = 0
+        for row in FAMILY_REGISTRY.values():
+            assert not any(callable(getattr(row, f.name)) for f in fields(row))
+            if type(row) is FamilySpec:  # every row but Zero
+                data = {f.name: getattr(row, f.name) for f in fields(row) if f.init}
+                assert FamilySpec(**data) == row
+                affine += 1
+        assert affine == len(FAMILY_REGISTRY) - 1
 
     def test_an_inexact_entry_is_refused(self, monkeypatch):
         # (n - lam + 4)/2 is never an integer for even n and odd lam

@@ -14,6 +14,7 @@ from tnspec.errors import (
     SizeLimitError,
     TnSpecError,
 )
+from tnspec.families import build_family, family_targets
 from tnspec.oracle import (
     EnumerationConstraints,
     _iter_parts,
@@ -26,7 +27,7 @@ from tnspec.oracle import (
 )
 from tnspec.partitions import choose2, eigenvalue, eigenvalue_of_parts
 from tnspec.segments import conjecture_scan
-from tnspec.verify import run_checks
+from tnspec.verify import run_checks, verify_family
 
 
 @pytest.mark.parametrize(
@@ -44,6 +45,9 @@ from tnspec.verify import run_checks
         lambda: cayley_spectrum(0),
         lambda: conjecture_scan(0),
         lambda: run_checks(["bogus"]),
+        lambda: family_targets("bogus", 5),
+        lambda: build_family("bogus", 5, 0),
+        lambda: verify_family("bogus", (1, 5)),
     ],
     ids=[
         "partition_count(-1)",
@@ -58,6 +62,9 @@ from tnspec.verify import run_checks
         "cayley_spectrum(0)",
         "conjecture_scan(0)",
         "run_checks(bogus)",
+        "family_targets(bogus)",
+        "build_family(bogus)",
+        "verify_family(bogus)",
     ],
 )
 def test_rejected_input_is_typed(call):
@@ -78,16 +85,6 @@ class TestEnumeration:
         constrained = EnumerationConstraints(max_first_part=2)
         parts = [p.parts for p in enumerate_partitions(5, constrained)]
         assert parts == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
-
-    def test_max_length(self):
-        constrained = EnumerationConstraints(max_length=2)
-        parts = [p.parts for p in enumerate_partitions(5, constrained)]
-        assert parts == [(5,), (4, 1), (3, 2)]
-
-    def test_combined_constraints(self):
-        constrained = EnumerationConstraints(max_first_part=3, max_length=3)
-        parts = [p.parts for p in enumerate_partitions(6, constrained)]
-        assert parts == [(3, 3), (3, 2, 1), (2, 2, 2)]
 
     def test_deterministic(self):
         first = [p.parts for p in enumerate_partitions(9)]
@@ -194,7 +191,7 @@ class TestSpectrum:
         # under cap c - 1; one enumeration per n serves every cap.
         for n in [*range(1, 31), 40]:
             groups: dict[int, dict[int, tuple[int, ...]]] = {}
-            for parts in _iter_parts(n, n, None):
+            for parts in _iter_parts(n, n):
                 group = groups.setdefault(parts[0], {})
                 group.setdefault(eigenvalue_of_parts(parts), parts)
             first: dict[int, tuple[int, ...]] = {}

@@ -30,6 +30,8 @@ class TestVerifyFamily:
     def test_a2_top_row_odd(self):
         report = verify_family(FamilyId.A2_ROW_N_ODD, n_range=(19, 79))
         assert report.check_id == "family:A2_row_n_odd"
+        # a family's value names it as well as its FamilyId
+        assert verify_family("A2_row_n_odd", (19, 79)).check_id == report.check_id
         assert report.cases_run == 31  # one odd n out of every two
         assert report.cases_failed == 0
         assert report.ok
