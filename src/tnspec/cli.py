@@ -50,6 +50,31 @@ def _write_artifact(args: argparse.Namespace, name: str, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """What csv.writer writes for rows, one "\n" per row.
+
+    csv.writer scans every character for quoting.  A row none of whose
+    fields holds ',', '"', '\r' or '\n', and that is not a lone empty
+    field (which csv.writer quotes), is written as its fields joined with
+    ','; only the other rows go through csv.writer.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        line = ",".join(row)
+        if (
+            line.count(",") == len(row) - 1
+            and '"' not in line
+            and "\n" not in line
+            and "\r" not in line
+            and (line or len(row) != 1)
+        ):
+            buffer.write(line + "\n")
+        else:
+            writer.writerow(row)
+    return buffer.getvalue()
+
+
 def _emit(
     args: argparse.Namespace,
     payload: Callable[[], dict],
@@ -66,10 +91,7 @@ def _emit(
         built = payload()
         print(json.dumps(built, sort_keys=True, indent=2))
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows())
-        sys.stdout.write(buffer.getvalue())
+        sys.stdout.write(_csv_text(csv_rows()))
     else:
         for line in text_lines():
             print(line)

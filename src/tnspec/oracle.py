@@ -30,8 +30,10 @@ Two checks share no code with the table:
   eigenvalue with the table's;
 * cayley_spectrum, which multiplies real permutations by transpositions
   and certifies the eigenvalues of T_n in exact integers, independent of
-  all partition formulas; it walks all n! permutations, so it stops at
-  n = 6.
+  all partition formulas: one product prod_e (A - e) delta_id certifies
+  that every eigenvalue is an integer, and the moments
+  m_j = (A^j delta_id)[id], computed once, decide each candidate by a dot
+  product; it walks all n! permutations, so it stops at n = 6.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     IntegerRoundingError,
@@ -120,9 +122,10 @@ class SpectrumSet:
 
 _pcount_cache: list[int] = [1]
 # _table[m][f] is S[m][f] of the module docstring, for f = 0..m; row 0
-# holds the empty partition.  Rows are only appended, under _cache_lock,
-# and clear_caches rebinds the name, so a SpectrumSet's walk_back keeps
-# reading the rows it was built from.
+# holds the empty partition.  Rows are only appended, whole and under
+# _cache_lock, and clear_caches rebinds the name, so a reader that finds
+# its row needs no lock and a SpectrumSet's walk_back keeps reading the
+# rows it was built from.
 _table: list[list[int]] = [[1]]
 _cache_lock = threading.Lock()
 
@@ -206,7 +209,15 @@ def enumerate_partitions(
 
 
 def _grown_table(n: int) -> list[list[int]]:
-    """The shared table, with rows 0..n built."""
+    """The shared table, with rows 0..n built.
+
+    A table that already holds row n is read without the lock: rows are
+    appended whole, and clear_caches rebinds the name instead of emptying
+    the list.
+    """
+    table = _table
+    if len(table) > n:
+        return table
     with _cache_lock:
         table = _table
         for m in range(len(table), n + 1):
@@ -287,6 +298,58 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(filter(None, lengths), reverse=True))
 
 
+def _class_operator(n: int) -> list[list[int]]:
+    """A on class functions of S_n: rows[i] lists, per transposition (a b),
+    the class of g * (a b) for one g of class i.  Class 0 is the identity."""
+    # permutations() yields the identity first, so class 0 is the identity
+    representatives = {_cycle_type(g): g for g in itertools.permutations(range(n))}
+    index = {cycle_type: i for i, cycle_type in enumerate(representatives)}
+    return [
+        [
+            index[_cycle_type(g[:a] + (g[b],) + g[a + 1 : b] + (g[a],) + g[b + 1 :])]
+            for a, b in itertools.combinations(range(n), 2)
+        ]
+        for g in representatives.values()
+    ]
+
+
+def _shifted(rows: list[list[int]], vector: list[int], e: int) -> list[int]:
+    """(A - e) vector."""
+    return [sum(vector[j] for j in row) - e * x for row, x in zip(rows, vector)]
+
+
+def _identity_moments(rows: list[list[int]], count: int) -> list[int]:
+    """m_j = (A^j delta_id)[id], the closed walks of length j at the
+    identity, for j < count."""
+    vector = [1] + [0] * (len(rows) - 1)
+    moments = []
+    for _ in range(count):
+        moments.append(vector[0])
+        vector = _shifted(rows, vector, 0)
+    return moments
+
+
+def _identity_entries(rows: list[list[int]], candidates: range) -> list[int]:
+    """Per candidate e, the identity entry of prod_{e' != e} (A - e') delta_id,
+    with e' over candidates: sum_j q_j m_j, for the coefficients q_j of
+    q(x) = f(x) / (x - e) and f(x) = prod_{e'} (x - e')."""
+    size = len(candidates)
+    moments = _identity_moments(rows, size)
+    # f[i] is the coefficient of x^i in f
+    f = [1]
+    for e in candidates:
+        f = [lower - e * upper for lower, upper in zip([0] + f, f + [0])]
+    entries = []
+    for e in candidates:
+        # synthetic division: q_{j-1} = f_j + e q_j, from q_{size-1} = f_size
+        entry = coefficient = 0
+        for j in range(size, 0, -1):
+            coefficient = f[j] + e * coefficient
+            entry += coefficient * moments[j - 1]
+        entries.append(entry)
+    return entries
+
+
 def cayley_spectrum(n: int) -> SpectrumSet:
     """Distinct eigenvalues of the T_n adjacency operator A, in exact
     integers, from real permutations and no partition formula.
@@ -296,42 +359,30 @@ def cayley_spectrum(n: int) -> SpectrumSet:
     each of the C(n, 2) transpositions, gives A on vectors of length p(n).
     With top = C(n, 2), prod_{e=-top..top} (A - e) delta_id = 0 certifies
     that every eigenvalue is an integer in [-top, top]; otherwise
-    IntegerRoundingError.  No witnesses: the operator knows no partitions.
+    IntegerRoundingError.  A candidate e is an eigenvalue exactly when the
+    identity entry of prod_{e' != e} (A - e') delta_id is nonzero, and that
+    entry is one dot product with the moments m_j = (A^j delta_id)[id],
+    computed once (_identity_entries): about 2K products of A with a vector
+    for the K = 2 top + 1 candidates, not K^2.  No witnesses: the operator
+    knows no partitions.
     """
     if n < 1:
         raise InvalidArgumentError("Cayley graph needs n >= 1")
     if n > CAYLEY_MAX_N:  # it walks all n! permutations
         raise SizeLimitError(f"Cayley computation is limited to n <= {CAYLEY_MAX_N}")
-    # permutations() yields the identity first, so class 0 is the identity
-    representatives = {_cycle_type(g): g for g in itertools.permutations(range(n))}
-    index = {cycle_type: i for i, cycle_type in enumerate(representatives)}
-    # rows[i] lists the class of g * (a b) for the g of class i, per (a, b)
-    rows = [
-        [
-            index[_cycle_type(g[:a] + (g[b],) + g[a + 1 : b] + (g[a],) + g[b + 1 :])]
-            for a, b in itertools.combinations(range(n), 2)
-        ]
-        for g in representatives.values()
-    ]
-
-    def times_delta(factors: Iterable[int]) -> list[int]:
-        """prod_{e in factors} (A - e) delta_id."""
-        vector = [1] + [0] * (len(rows) - 1)
-        for e in factors:
-            vector = [
-                sum(vector[j] for j in row) - e * x for row, x in zip(rows, vector)
-            ]
-        return vector
-
+    rows = _class_operator(n)
     top = choose2(n)
     candidates = range(-top, top + 1)
-    if any(times_delta(candidates)):
+    vector = [1] + [0] * (len(rows) - 1)
+    for e in candidates:
+        vector = _shifted(rows, vector, e)
+    if any(vector):
         raise IntegerRoundingError(f"T_{n} has an eigenvalue not in -{top}..{top}")
     # T_n is vertex-transitive, so every eigenspace projector has diagonal
     # mult / n! > 0: the identity entry of prod_{e' != e} (A - e') delta_id,
     # mult(e) / n! * prod_{e' != e} (e - e'), is nonzero iff e is an eigenvalue.
     bits = 0
-    for e in candidates:
-        if times_delta(other for other in candidates if other != e)[0]:
+    for e, entry in zip(candidates, _identity_entries(rows, candidates)):
+        if entry:
             bits |= 1 << (e + top)
     return SpectrumSet(n, bits)

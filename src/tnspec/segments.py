@@ -28,6 +28,8 @@ negative target conjugates the pair for -k and appends "conjugate" to its
 chain.  Each public driver checks n and the segment once, then checks the
 one partition it returns, once, with make_witness (the flat eigenvalue
 formula); neither a linear tail nor the pair for -k is checked on its own.
+linear_segment_cover builds the pair for each |k| once and gives -k its
+conjugate, and still checks each record on its own.
 
 The gap between the two segments, [n+1, y1-1], is conjectured but not
 proven to be covered; conjecture_scan reports oracle membership for each
@@ -36,7 +38,6 @@ value in it without asserting anything.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
@@ -193,17 +194,35 @@ def _linear_parts(n: int, k: int) -> tuple[Partition, tuple[str, ...]]:
 
 
 def linear_segment_cover(n: int) -> CoverageReport:
-    """Witness every k in [-n, n]; per-target errors become report entries."""
+    """Witness every k in [-n, n]; per-target errors become report entries.
+
+    Records, order and failure messages are those of linear_segment_witness
+    target by target, but each |k| is dispatched, and its family built,
+    once: the pair for -k is the conjugate of the unchecked pair for k, as
+    _linear_parts makes it.  Every record still gets its own make_witness.
+    """
     if n < LINEAR_MIN_N:
         raise BelowConstructiveRangeError(
             f"linear segment coverage is constructive for n >= {LINEAR_MIN_N}"
         )
-    return _run_cover(
-        n,
-        (-n, n),
-        range(-n, n + 1),
-        lambda target: linear_segment_witness(n, target),
-    )
+    check_formula_n(n)  # before the first build
+    pairs: list[tuple[Partition, tuple[str, ...]] | TnSpecError] = []
+    for k in range(n + 1):
+        try:
+            pairs.append(_dispatch_witness(n, k))
+        except TnSpecError as exc:
+            pairs.append(exc)
+
+    def witness(target: int) -> WitnessRecord:
+        pair = pairs[abs(target)]
+        if isinstance(pair, TnSpecError):
+            raise pair
+        partition, chain = pair
+        if target < 0:
+            partition, chain = conjugate(partition), chain + ("conjugate",)
+        return make_witness(n, target, partition, chain)
+
+    return _run_cover(n, (-n, n), range(-n, n + 1), witness)
 
 
 def quadratic_segment_bounds(n: int) -> SegmentBounds:
@@ -288,24 +307,32 @@ def _quadratic_parts(n: int, k: int) -> tuple[Partition, tuple[str, ...]]:
     if residual_n >= LINEAR_MIN_N:
         tail, chain = _linear_parts(residual_n, residual_target)
         return _joined(first, tail), (f"head={first}",) + chain
-    # The bracketing head first.  Then the rescue: other leading parts reach
-    # k with a residual target outside [-(n-n1), n-n1] but well inside the
-    # residual spectrum's actual range.
-    rescue = (head for head in range(high_head, low_head - 1, -1) if head != first)
-    for candidate in itertools.chain((first,), rescue):
-        other_n = n - candidate
-        other_target = k - choose2(candidate) + other_n
-        if abs(other_target) > choose2(other_n):
-            continue
-        cap = EnumerationConstraints(max_first_part=candidate)
-        tail = spectrum(other_n, cap).witness(other_target)
-        if tail is not None:
-            return _joined(candidate, tail), (f"head={candidate}", "oracle")
+    pair = _oracle_tail(n, first, k)
+    if pair is not None:
+        return pair
+    # The rescue: other leading parts reach k with a residual target outside
+    # [-(n-n1), n-n1] but well inside the residual spectrum's actual range.
+    for head in range(high_head, low_head - 1, -1):
+        if head != first:
+            pair = _oracle_tail(n, head, k)
+            if pair is not None:
+                return pair
     raise WitnessNotFoundError(
         f"no admissible leading part yields a residual witness for "
         f"n = {n}, k = {k} (bracketing part {first} lacked eigenvalue "
         f"{residual_target} in its residual spectrum)"
     )
+
+
+def _oracle_tail(n: int, head: int, k: int) -> tuple[Partition, tuple[str, ...]] | None:
+    """(partition, chain) for k with this leading part and the residual
+    read from the oracle's spectrum of parts <= head, or None."""
+    rest = n - head
+    target = k - choose2(head) + rest
+    if abs(target) > choose2(rest):
+        return None
+    tail = spectrum(rest, EnumerationConstraints(max_first_part=head)).witness(target)
+    return None if tail is None else (_joined(head, tail), (f"head={head}", "oracle"))
 
 
 def quadratic_segment_cover(n: int) -> CoverageReport:

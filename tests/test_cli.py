@@ -1,5 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, artifacts."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,9 @@ import pytest
 
 from tnspec import cli
 from tnspec.cli import build_parser, run
-from tnspec.oracle import clear_caches, enumerate_partitions, spectrum
+from tnspec.oracle import TABLE_MAX_N, clear_caches, enumerate_partitions, spectrum
+from tnspec.partitions import MAX_FORMULA_N
+from tnspec.segments import linear_segment_cover, quadratic_segment_bounds
 
 
 def invoke(capsys, argv):
@@ -264,6 +268,18 @@ class TestCover:
         assert "100000" in err
 
 
+class TestCsvText:
+    def test_matches_csv_writer(self):
+        # rows joined directly and rows csv.writer quotes, interleaved
+        rows = [[], [""], ["", ""], ["a"], ["a,b", "c"], ['x"y'], ["l\nm", "2"]]
+        rows += [["r\rs"], [" sp ", ""], ["1", "2", "3"], ["\u00e9", "\t"]]
+        rows += linear_segment_cover(40).to_csv_rows()
+        rows += [["7", "failed", "", "", "no head fits n = 48, k = 7"]]
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        assert cli._csv_text(rows) == buffer.getvalue()
+
+
 class TestBounds:
     def test_text(self, capsys):
         code, out, _ = invoke(capsys, ["bounds", "48"])
@@ -362,6 +378,54 @@ class TestCayley:
         code, _, err = invoke(capsys, ["cayley", "7"])
         assert code == 1
         assert "6" in err
+
+
+def _boundary_cases():
+    """(argv, n, bound): each command one below, at and one above its bound."""
+    cases = []
+    for n in (MAX_FORMULA_N - 1, MAX_FORMULA_N, MAX_FORMULA_N + 1):
+        y2 = str(quadratic_segment_bounds(n).y2)
+        cases += [
+            (["witness", str(n), str(-n)], n, MAX_FORMULA_N),
+            (["witness", "--theorem", "5", str(n), y2], n, MAX_FORMULA_N),
+        ]
+    for n in (TABLE_MAX_N - 1, TABLE_MAX_N, TABLE_MAX_N + 1):
+        cases += [
+            (["spectrum", str(n), "--format", "json"], n, TABLE_MAX_N),
+            (["contains", str(n), "-7"], n, TABLE_MAX_N),
+            (["conjecture", str(n)], n, TABLE_MAX_N),
+        ]
+    # a cover at MAX_FORMULA_N itself would take minutes; above it, no time
+    n = MAX_FORMULA_N + 1
+    cases += [
+        (["cover", str(n)], n, MAX_FORMULA_N),
+        (["cover", "--theorem", "5", str(n)], n, MAX_FORMULA_N),
+    ]
+    return cases
+
+
+BOUNDARY_CASES = _boundary_cases()
+
+
+class TestBoundaries:
+    """Every command at its bound +-1 exits 0, or 1 with one "error:" line
+    naming the bound; nothing escapes as a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, n, bound",
+        BOUNDARY_CASES,
+        ids=[" ".join(argv) for argv, _, _ in BOUNDARY_CASES],
+    )
+    def test_exit_code_and_no_traceback(self, capsys, argv, n, bound):
+        code, out, err = invoke(capsys, argv)
+        assert "Traceback" not in err
+        if n <= bound:
+            assert (code, err) == (0, "")
+            assert out
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(bound) in err
 
 
 class TestArtifacts:

@@ -12,6 +12,7 @@ import pytest
 
 from tnspec import families, segments
 from tnspec.errors import (
+    BelowConstructiveRangeError,
     OutOfFamilyRangeError,
     ParityViolationError,
     WitnessNotFoundError,
@@ -439,7 +440,7 @@ class TestDispatchTable:
         dispatch = segments._dispatch_witness
 
         def recording(n, lam):
-            seen.append(n)
+            seen.append((n, lam))
             return dispatch(n, lam)
 
         monkeypatch.setattr(segments, "_dispatch_witness", recording)
@@ -449,13 +450,21 @@ class TestDispatchTable:
                     assert linear_segment_witness(n, k).target == k
                 except WitnessNotFoundError:
                     assert n < LINEAR_MIN_N, (n, k)
-        linear_segment_cover(LINEAR_MIN_N)
         for n in range(48, 53):
             quadratic_segment_cover(n)
         for k in (1000, -1000):
             assert quadratic_segment_witness(100, k).target == k
         assert seen
-        assert min(seen) >= LINEAR_MIN_N
+        assert min(n for n, _ in seen) >= LINEAR_MIN_N
+        # the cover path: each |k| is dispatched once, from the table start
+        seen.clear()
+        for n in range(1, LINEAR_MIN_N):
+            with pytest.raises(BelowConstructiveRangeError):
+                linear_segment_cover(n)
+        covers = (LINEAR_MIN_N, LINEAR_MIN_N + 1, 80)
+        for n in covers:
+            assert linear_segment_cover(n).covered == 2 * n + 1
+        assert seen == [(n, lam) for n in covers for lam in range(n + 1)]
 
     @pytest.mark.parametrize("n", [31, 32, 37, 38, 999, 100_000])
     def test_targets_outside_zero_to_n_are_refused(self, n):

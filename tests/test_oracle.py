@@ -220,6 +220,23 @@ class TestSpectrum:
         clear_caches()
         assert len(oracle._table) == 1
 
+    def test_a_grown_table_is_read_without_the_lock(self, monkeypatch):
+        clear_caches()
+        expected = spectrum(30).values
+
+        class Refused:
+            def __enter__(self):
+                raise AssertionError("the lock was taken")
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(oracle, "_cache_lock", Refused())
+        assert spectrum(30).values == expected
+        assert spectrum(12, EnumerationConstraints(max_first_part=5)).values
+        with pytest.raises(AssertionError, match="lock"):
+            spectrum(31)
+
     def test_concurrent_growth(self):
         # Threads that grow the shared table at once must see the rows a
         # single thread builds.
@@ -263,6 +280,23 @@ class TestContains:
         assert contains(18, 16)[0] is False
 
 
+def _product_per_candidate(rows, candidates):
+    """The reference for oracle._identity_entries: per candidate e, the
+    identity entry of prod_{e' != e} (A - e') delta_id, multiplied out
+    factor by factor (about K^2 operator-vector products)."""
+    entries = []
+    for e in candidates:
+        vector = [1] + [0] * (len(rows) - 1)
+        for other in candidates:
+            if other != e:
+                vector = [
+                    sum(vector[j] for j in row) - other * x
+                    for row, x in zip(rows, vector)
+                ]
+        entries.append(vector[0])
+    return entries
+
+
 class TestCayley:
     def test_single_vertex(self):
         assert cayley_spectrum(1).values == (0,)
@@ -292,6 +326,36 @@ class TestCayley:
         monkeypatch.setattr(oracle, "choose2", lambda m: m * (m - 1) // 2 - 1)
         with pytest.raises(IntegerRoundingError):
             cayley_spectrum(3)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_moments_match_the_product_per_candidate(self, n):
+        # the same exact identity entries as one product per candidate
+        rows = oracle._class_operator(n)
+        candidates = range(-choose2(n), choose2(n) + 1)
+        entries = _product_per_candidate(rows, candidates)
+        assert oracle._identity_entries(rows, candidates) == entries
+        bits = sum(1 << i for i, entry in enumerate(entries) if entry)
+        assert cayley_spectrum(n).bits == bits
+
+    @pytest.mark.parametrize("shifted", range(13))
+    def test_a_moment_off_by_one_is_caught(self, monkeypatch, shifted):
+        # the mutant the reference comparison above must kill; dropping the
+        # certificate is the mutant test_uncertified_spectrum_raises kills
+        original = oracle._identity_moments
+
+        def off_by_one(rows, count):
+            moments = original(rows, count)
+            moments[shifted] += 1
+            return moments
+
+        rows = oracle._class_operator(4)
+        candidates = range(-6, 7)
+        expected = _product_per_candidate(rows, candidates)
+        monkeypatch.setattr(oracle, "_identity_moments", off_by_one)
+        assert oracle._identity_entries(rows, candidates) != expected
+        if shifted:
+            # m_0 enters only the entry of e = 0, which stays nonzero
+            assert cayley_spectrum(4).values != spectrum(4).values
 
     def test_import_leaves_numpy_out(self):
         # the exact operator needs no numpy, so tnspec must not load it

@@ -131,6 +131,14 @@ class TestLinearWitness:
             linear_segment_witness(31, -32)
 
 
+def per_target_cover(n):
+    """linear_segment_cover(n) as linear_segment_witness builds it, target
+    by target: the reference the once-per-|k| cover is held to."""
+    return segments._run_cover(
+        n, (-n, n), range(-n, n + 1), lambda k: linear_segment_witness(n, k)
+    )
+
+
 class TestLinearCover:
     def test_cover_runs_clean(self):
         report = linear_segment_cover(31)
@@ -151,6 +159,22 @@ class TestLinearCover:
         assert rows[1][0] == "-31"
         assert rows[1][1] == "covered"
         assert len(rows) == 64
+
+    # The cover dispatches each |k| once and conjugates for -k; it must give
+    # what the per-target driver gives: records, order, chains, failures.
+    @pytest.mark.parametrize("n", [*range(LINEAR_MIN_N, 81), 517, 1000, 4000])
+    def test_equals_the_per_target_driver(self, n):
+        cover = linear_segment_cover(n)
+        assert cover == per_target_cover(n)
+        assert cover.covered == 2 * n + 1
+
+    @pytest.mark.parametrize("liar", ["lying_builders", "lying_expansion"])
+    @pytest.mark.parametrize("n", [31, 32, 80, 517])
+    def test_failures_equal_the_per_target_driver(self, request, liar, n):
+        request.getfixturevalue(liar)
+        cover = linear_segment_cover(n)
+        assert cover == per_target_cover(n)
+        assert [target for target, _ in cover.failures] == list(range(-n, n + 1))
 
 
 class TestQuadraticBounds:
@@ -300,6 +324,26 @@ PATHS = [
 PATH_IDS = [f"{driver.__name__.split('_')[0]} {n} {k}" for driver, n, k, _ in PATHS]
 
 
+@pytest.fixture
+def lying_builders(monkeypatch):
+    # every family shape becomes all ones: a partition of n, wrong value
+    for row_class in {type(spec) for spec in FAMILY_REGISTRY.values()}:
+        monkeypatch.setattr(
+            row_class, "build", lambda self, n, lam: CompactPartition((), 0, n)
+        )
+
+
+@pytest.fixture
+def lying_expansion(monkeypatch):
+    # the run-length check passes, the expansion gains a part
+    original = families.expand
+
+    def expand(compact):
+        return Partition(original(compact).parts + (1,))
+
+    monkeypatch.setattr(families, "expand", expand)
+
+
 class TestVerifiedOnce:
     """Each public driver checks the partition it returns once, and only
     that check stands between a wrong piece and the caller."""
@@ -322,24 +366,6 @@ class TestVerifiedOnce:
         record = driver(n, k)
         assert record.family_chain == chain
         assert checked == [(n, k)]
-
-    @pytest.fixture
-    def lying_builders(self, monkeypatch):
-        # every family shape becomes all ones: a partition of n, wrong value
-        for row_class in {type(spec) for spec in FAMILY_REGISTRY.values()}:
-            monkeypatch.setattr(
-                row_class, "build", lambda self, n, lam: CompactPartition((), 0, n)
-            )
-
-    @pytest.fixture
-    def lying_expansion(self, monkeypatch):
-        # the run-length check passes, the expansion gains a part
-        original = families.expand
-
-        def expand(compact):
-            return Partition(original(compact).parts + (1,))
-
-        monkeypatch.setattr(families, "expand", expand)
 
     @pytest.fixture
     def lying_table(self, monkeypatch):
