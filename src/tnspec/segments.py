@@ -29,7 +29,10 @@ chain.  Each public driver checks n and the segment once, then checks the
 one partition it returns, once, with make_witness (the flat eigenvalue
 formula); neither a linear tail nor the pair for -k is checked on its own.
 linear_segment_cover builds the pair for each |k| once and gives -k its
-conjugate, and still checks each record on its own.
+conjugate.  quadratic_segment_cover checks n and the segment once and
+walks the heads in ascending order, asking the oracle for each oracle-tail
+head's capped spectrum once; only a target that head cannot serve goes
+through _quadratic_parts.  Both covers still check each record on its own.
 
 The gap between the two segments, [n+1, y1-1], is conjectured but not
 proven to be covered; conjecture_scan reports oracle membership for each
@@ -53,7 +56,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .families import LINEAR_MIN_N, WitnessRecord, _dispatch_witness, make_witness
-from .oracle import EnumerationConstraints, spectrum
+from .oracle import EnumerationConstraints, SpectrumSet, spectrum
 from .partitions import Partition, check_formula_n, choose2, conjugate, with_head
 
 QUADRATIC_MIN_N = 48
@@ -324,26 +327,56 @@ def _quadratic_parts(n: int, k: int) -> tuple[Partition, tuple[str, ...]]:
     )
 
 
-def _oracle_tail(n: int, head: int, k: int) -> tuple[Partition, tuple[str, ...]] | None:
+def _oracle_tail(
+    n: int, head: int, k: int, tails: SpectrumSet | None = None
+) -> tuple[Partition, tuple[str, ...]] | None:
     """(partition, chain) for k with this leading part and the residual
-    read from the oracle's spectrum of parts <= head, or None."""
+    read from the oracle's spectrum of parts <= head, or None.  tails is
+    that spectrum when the caller already holds it."""
     rest = n - head
     target = k - choose2(head) + rest
     if abs(target) > choose2(rest):
         return None
-    tail = spectrum(rest, EnumerationConstraints(max_first_part=head)).witness(target)
+    if tails is None:
+        tails = spectrum(rest, EnumerationConstraints(max_first_part=head))
+    tail = tails.witness(target)
     return None if tail is None else (_joined(head, tail), (f"head={head}", "oracle"))
 
 
 def quadratic_segment_cover(n: int) -> CoverageReport:
-    """Witness every k in [y1, y2] (the mirror follows by conjugation)."""
+    """Witness every k in [y1, y2] (the mirror follows by conjugation).
+
+    Records, order and failure messages are those of
+    quadratic_segment_witness target by target, but n and the segment are
+    checked once, and the heads are walked in ascending order: head f
+    serves the targets in (C(f-1, 2), C(f, 2)], the lowest head also those
+    from y1 up, and a head with a residual below 31 asks the oracle for
+    its capped spectrum once.  A target its head cannot serve (a hole in
+    that spectrum, or no bracketing head at all) goes to _quadratic_parts,
+    which rescues it or raises the per-target error.  Every record still
+    gets its own make_witness.
+    """
     bounds = quadratic_segment_bounds(n)
-    return _run_cover(
-        n,
-        (bounds.y1, bounds.y2),
-        range(bounds.y1, bounds.y2 + 1),
-        lambda target: quadratic_segment_witness(n, target),
-    )
+    head = head_range(n)[0]
+    tails: SpectrumSet | None = None  # the current head's, once asked for
+
+    def witness(k: int) -> WitnessRecord:
+        nonlocal head, tails
+        while choose2(head) < k:
+            head, tails = head + 1, None
+        if head_interval(n, head)[0] > k:
+            return make_witness(n, k, *_quadratic_parts(n, k))  # raises NoHeadFitsError
+        rest = n - head
+        if rest >= LINEAR_MIN_N:
+            tail, chain = _linear_parts(rest, k - choose2(head) + rest)
+            return make_witness(n, k, _joined(head, tail), (f"head={head}",) + chain)
+        if tails is None:
+            tails = spectrum(rest, EnumerationConstraints(max_first_part=head))
+        pair = _oracle_tail(n, head, k, tails) or _quadratic_parts(n, k)
+        return make_witness(n, k, *pair)
+
+    segment = (bounds.y1, bounds.y2)
+    return _run_cover(n, segment, range(bounds.y1, bounds.y2 + 1), witness)
 
 
 def conjecture_scan(n: int) -> CoverageReport:

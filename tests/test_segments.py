@@ -1,5 +1,7 @@
 """Segment drivers: dispatch tiling, head brackets, covers, conjecture scan."""
 
+from collections import Counter
+
 import pytest
 
 from tnspec import families, segments
@@ -7,6 +9,7 @@ from tnspec.errors import (
     BelowConstructiveRangeError,
     FormulaOverflowError,
     NoHeadFitsError,
+    OutOfFamilyRangeError,
     TargetOutOfSegmentError,
     WitnessNotFoundError,
     WitnessVerificationError,
@@ -294,6 +297,33 @@ class TestQuadraticWitness:
             quadratic_segment_witness(47, 100)
 
 
+def per_target_quadratic_cover(n):
+    """quadratic_segment_cover(n) as quadratic_segment_witness builds it,
+    target by target: the reference the per-head cover is held to."""
+    bounds = quadratic_segment_bounds(n)
+    return segments._run_cover(
+        n,
+        (bounds.y1, bounds.y2),
+        range(bounds.y1, bounds.y2 + 1),
+        lambda k: quadratic_segment_witness(n, k),
+    )
+
+
+def quadratic_path(record):
+    """"linear_tail", "oracle_tail" or "rescue": the path a positive-target
+    quadratic record took, read from its chain against the bracketing head."""
+    n, k = record.n, record.target
+    low_head, high_head = head_range(n)
+    bracket = next(
+        first
+        for first in range(low_head, high_head + 1)
+        if head_interval(n, first)[0] <= k <= head_interval(n, first)[1]
+    )
+    if record.family_chain[0] != f"head={bracket}":
+        return "rescue"
+    return "oracle_tail" if record.family_chain[1] == "oracle" else "linear_tail"
+
+
 class TestQuadraticCover:
     def test_n48_clean(self):
         report = quadratic_segment_cover(48)
@@ -306,6 +336,83 @@ class TestQuadraticCover:
             assert report.failures == (), n
             bounds = quadratic_segment_bounds(n)
             assert report.covered == bounds.y2 - bounds.y1 + 1
+
+    # The cover walks the heads and asks the oracle once per head; it must
+    # give what the per-target driver gives: records, order, chains, failures.
+    # Up to n = 91 the top heads have residuals below 31 (oracle tails).
+    @pytest.mark.parametrize("n", [*range(QUADRATIC_MIN_N, 92), 150, 300])
+    def test_equals_the_per_target_driver(self, n):
+        cover = quadratic_segment_cover(n)
+        assert cover == per_target_quadratic_cover(n)
+        bounds = quadratic_segment_bounds(n)
+        assert cover.covered == bounds.y2 - bounds.y1 + 1
+
+    @pytest.mark.parametrize("liar", ["lying_builders", "lying_expansion", "lying_table"])
+    @pytest.mark.parametrize("n", [48, 55, 60, 91, 150])
+    def test_failures_equal_the_per_target_driver(self, request, liar, n):
+        # the liar fails exactly the targets whose path it lies on
+        lied_to = {"oracle_tail", "rescue"} if liar == "lying_table" else {"linear_tail"}
+        expected = [
+            record.target
+            for record in quadratic_segment_cover(n).records
+            if quadratic_path(record) in lied_to
+        ]
+        request.getfixturevalue(liar)
+        cover = quadratic_segment_cover(n)
+        assert cover == per_target_quadratic_cover(n)
+        assert [target for target, _ in cover.failures] == expected
+
+    @pytest.mark.parametrize("n", [48, 60, 150])
+    def test_no_head_fits_equals_the_per_target_driver(self, monkeypatch, n):
+        monkeypatch.setattr(segments, "head_interval", lambda n, first: (10**9, 10**9))
+        cover = quadratic_segment_cover(n)
+        assert cover == per_target_quadratic_cover(n)
+        assert cover.covered == 0
+        assert all("no leading part" in message for _, message in cover.failures)
+
+    def test_one_failed_tail_fails_only_its_target(self, monkeypatch):
+        # a linear tail that raises becomes that target's failure entry, and
+        # the walk goes on with the next target
+        original = segments._dispatch_witness
+
+        def dispatch(n, k):
+            if (n, k) == (31, 5):
+                raise OutOfFamilyRangeError(f"no family covers target {k} at n = {n}")
+            return original(n, k)
+
+        monkeypatch.setattr(segments, "_dispatch_witness", dispatch)
+        failed = {}
+        for n in range(QUADRATIC_MIN_N, 92):
+            cover = quadratic_segment_cover(n)
+            assert cover == per_target_quadratic_cover(n), n
+            bounds = quadratic_segment_bounds(n)
+            assert cover.covered + len(cover.failures) == bounds.y2 - bounds.y1 + 1
+            failed.update({(n, k): message for k, message in cover.failures})
+        # at n = 60, head 29 leaves residual 31 with target 380 - C(29, 2) + 31 = 5
+        assert (60, 380) in failed
+        assert set(failed.values()) == {"no family covers target 5 at n = 31"}
+
+    def test_one_spectrum_per_oracle_tail_head(self, monkeypatch):
+        asked = []
+        original = segments.spectrum
+
+        def counted(n, constraints=None):
+            asked.append((n, constraints.max_first_part))
+            return original(n, constraints)
+
+        monkeypatch.setattr(segments, "spectrum", counted)
+        cover = quadratic_segment_cover(60)
+        assert cover.failures == ()
+        # heads 30..40 leave residuals 30..20, below 31; n = 60 has no rescue
+        assert asked == [(60 - head, head) for head in range(30, 41)]
+
+    def test_path_mix_of_the_battery_range(self):
+        paths = Counter(
+            quadratic_path(record)
+            for n in range(QUADRATIC_MIN_N, 61)
+            for record in quadratic_segment_cover(n).records
+        )
+        assert paths == {"linear_tail": 1987, "oracle_tail": 4820, "rescue": 30}
 
 
 # (driver, n, k, chain): one query per witness path, both signs
@@ -344,6 +451,19 @@ def lying_expansion(monkeypatch):
     monkeypatch.setattr(families, "expand", expand)
 
 
+@pytest.fixture
+def lying_table(monkeypatch):
+    # a held value gets the all-ones partition; a hole stays a hole
+    original = SpectrumSet.witness
+
+    def witness(self, value):
+        if original(self, value) is None:
+            return None
+        return Partition((1,) * self.n)
+
+    monkeypatch.setattr(SpectrumSet, "witness", witness)
+
+
 class TestVerifiedOnce:
     """Each public driver checks the partition it returns once, and only
     that check stands between a wrong piece and the caller."""
@@ -367,18 +487,6 @@ class TestVerifiedOnce:
         assert record.family_chain == chain
         assert checked == [(n, k)]
 
-    @pytest.fixture
-    def lying_table(self, monkeypatch):
-        # a held value gets the all-ones partition; a hole stays a hole
-        original = SpectrumSet.witness
-
-        def witness(self, value):
-            if original(self, value) is None:
-                return None
-            return Partition((1,) * self.n)
-
-        monkeypatch.setattr(SpectrumSet, "witness", witness)
-
     @pytest.mark.parametrize(
         "liar, driver, n, k",
         [
@@ -401,11 +509,18 @@ class TestCoverSizeLimit:
     def test_overflow_before_any_witness(self, monkeypatch):
         # n above the formula bound fails once, for the whole cover, before
         # a single witness is built
-        def never(n, k):
-            raise AssertionError(f"witness built for n = {n}, k = {k}")
+        def never(*args):
+            raise AssertionError(f"piece built for {args}")
 
-        monkeypatch.setattr(segments, "linear_segment_witness", never)
-        monkeypatch.setattr(segments, "quadratic_segment_witness", never)
+        for name in (
+            "linear_segment_witness",
+            "quadratic_segment_witness",
+            "_dispatch_witness",
+            "_linear_parts",
+            "_quadratic_parts",
+            "spectrum",
+        ):
+            monkeypatch.setattr(segments, name, never)
         for cover in (linear_segment_cover, quadratic_segment_cover):
             with pytest.raises(FormulaOverflowError):
                 cover(MAX_FORMULA_N + 1)
